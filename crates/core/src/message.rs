@@ -11,9 +11,13 @@
 //! functions (the orphan rule prevents implementing `skalla-net`'s traits
 //! on those crates' types from the outside).
 
+use std::ops::AddAssign;
+
 use bytes::{BufMut, Bytes, BytesMut};
 use skalla_expr::{BinOp, Expr, UnOp};
-use skalla_gmdj::{AggFunc, AggSpec, BaseSpec, GmdjBlock, GmdjExpr, GmdjOp};
+use skalla_gmdj::{
+    AggFunc, AggSpec, BaseSpec, EvalStats, GmdjBlock, GmdjExpr, GmdjOp, SegScanStats,
+};
 use skalla_net::wire::{put_str, put_varint};
 use skalla_net::{WireDecode, WireEncode, WireReader};
 use skalla_storage::{PartFrag, PartSketch};
@@ -69,42 +73,31 @@ pub enum Message {
         /// Work-assignment id (see [`Message::ComputeBase`]).
         task: u32,
     },
-    /// A site's sub-aggregate relation `Hᵢ` for a standard round —
-    /// possibly one of several row-blocked chunks.
-    RoundResult {
-        /// Operator index.
-        op_idx: u32,
+    /// A site's reply to a [`Message::Round`] or a [`Message::LocalRun`] —
+    /// possibly one of several row-blocked chunks. Both requests answer
+    /// with the same shape (Theorem 1): base columns followed by the
+    /// sub-aggregate state columns of every operator evaluated, which the
+    /// coordinator merges into its synchronized structure.
+    Fragment {
+        /// The last operator index the fragment covers: the round's
+        /// operator, or the end of the local run.
+        op: u32,
         /// Chunk sequence number (0-based). The coordinator's merge is not
         /// idempotent, so it accepts a chunk only when `seq` matches the
         /// next expected value for the sender — duplicated or replayed
         /// chunks are discarded.
         seq: u32,
         /// Base columns ++ sub-aggregate state columns.
-        h: Relation,
+        rel: Relation,
         /// Site compute seconds (reported on the final chunk).
         compute_s: f64,
-        /// GMDJ blocks evaluated through compiled kernels (reported on the
-        /// final chunk; zero on earlier chunks, like `compute_s`).
-        blocks_compiled: u32,
-        /// GMDJ blocks that fell back to the row-at-a-time interpreter
-        /// (reported on the final chunk).
-        blocks_interpreted: u32,
         /// `false` while more chunks follow (row blocking).
         last: bool,
         /// Echo of the request's task id.
         task: u32,
-        /// Per-partition cardinality sketches (reported on the final
-        /// chunk; empty on earlier chunks).
-        sketch: Vec<PartSketch>,
-        /// Out-of-core segments decoded during the scan (reported on the
-        /// final chunk; zero for in-memory details).
-        segments_scanned: u64,
-        /// Out-of-core segments skipped by zone-map pruning (reported on
-        /// the final chunk).
-        segments_pruned: u64,
-        /// Column chunks whose CRC32C was verified during the scan
-        /// (reported on the final chunk).
-        blocks_verified: u64,
+        /// Scan counters and partition sketches (reported on the final
+        /// chunk; [`SiteCounters::default`] on earlier chunks).
+        counters: SiteCounters,
     },
     /// Evaluate operators `start..=end` locally without intermediate
     /// synchronization (synchronization reduction).
@@ -121,41 +114,6 @@ pub enum Message {
         parts: Option<Vec<PartFrag>>,
         /// Work-assignment id (see [`Message::ComputeBase`]).
         task: u32,
-    },
-    /// A site's combined sub-aggregate relation for a local run —
-    /// possibly one of several row-blocked chunks.
-    LocalRunResult {
-        /// Last operator index of the run.
-        end: u32,
-        /// Chunk sequence number (0-based); see
-        /// [`Message::RoundResult::seq`](Message::RoundResult).
-        seq: u32,
-        /// Base columns ++ state columns of every operator in the run.
-        ship: Relation,
-        /// Site compute seconds (reported on the final chunk).
-        compute_s: f64,
-        /// GMDJ blocks evaluated through compiled kernels, summed over the
-        /// run's operators (reported on the final chunk).
-        blocks_compiled: u32,
-        /// GMDJ blocks that fell back to the interpreter, summed over the
-        /// run's operators (reported on the final chunk).
-        blocks_interpreted: u32,
-        /// `false` while more chunks follow (row blocking).
-        last: bool,
-        /// Echo of the request's task id.
-        task: u32,
-        /// Per-partition cardinality sketches (reported on the final
-        /// chunk; empty on earlier chunks).
-        sketch: Vec<PartSketch>,
-        /// Out-of-core segments decoded across the run's operators
-        /// (reported on the final chunk; zero for in-memory details).
-        segments_scanned: u64,
-        /// Out-of-core segments skipped by zone-map pruning across the
-        /// run's operators (reported on the final chunk).
-        segments_pruned: u64,
-        /// Column chunks whose CRC32C was verified across the run's
-        /// operators (reported on the final chunk).
-        blocks_verified: u64,
     },
     /// Baseline only: ship the named raw detail table to the coordinator
     /// (what Skalla never does — used to demonstrate Theorem 2).
@@ -230,6 +188,79 @@ pub struct ScrubEntry {
     /// `None` if every checksum matched; `Some(description)` if the file
     /// was found corrupt and quarantined.
     pub error: Option<String>,
+}
+
+/// What a site reports about the work behind one [`Message::Fragment`]
+/// reply, summed across operators, sites and tiers with `+=`. This struct
+/// holds the only wire encoding of these fields; a new site counter
+/// touches it, its producer in [`crate::site`], and
+/// [`RoundMetrics`](crate::metrics::RoundMetrics).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SiteCounters {
+    /// GMDJ blocks evaluated through compiled kernels.
+    pub blocks_compiled: u64,
+    /// GMDJ blocks that fell back to the row-at-a-time interpreter.
+    pub blocks_interpreted: u64,
+    /// Out-of-core segments decoded (zero for in-memory details).
+    pub segments_scanned: u64,
+    /// Out-of-core segments skipped by zone-map pruning.
+    pub segments_pruned: u64,
+    /// Column chunks whose CRC32C was verified during the scan.
+    pub blocks_verified: u64,
+    /// Per-partition cardinality sketches, so the coordinator refreshes
+    /// its skew load estimates from every reply.
+    pub sketch: Vec<PartSketch>,
+}
+
+impl SiteCounters {
+    /// The counters of one local GMDJ evaluation.
+    pub(crate) fn of_eval(stats: &EvalStats, seg: &SegScanStats) -> SiteCounters {
+        SiteCounters {
+            blocks_compiled: u64::from(stats.blocks_compiled),
+            blocks_interpreted: u64::from(
+                stats.blocks_hashed + stats.blocks_nested - stats.blocks_compiled,
+            ),
+            segments_scanned: seg.scanned,
+            segments_pruned: seg.pruned,
+            blocks_verified: seg.blocks_verified,
+            sketch: Vec::new(),
+        }
+    }
+}
+
+impl AddAssign for SiteCounters {
+    fn add_assign(&mut self, o: SiteCounters) {
+        self.blocks_compiled += o.blocks_compiled;
+        self.blocks_interpreted += o.blocks_interpreted;
+        self.segments_scanned += o.segments_scanned;
+        self.segments_pruned += o.segments_pruned;
+        self.blocks_verified += o.blocks_verified;
+        self.sketch.extend(o.sketch);
+    }
+}
+
+impl WireEncode for SiteCounters {
+    fn encode(&self, buf: &mut BytesMut) {
+        put_varint(buf, self.blocks_compiled);
+        put_varint(buf, self.blocks_interpreted);
+        encode_sketches(&self.sketch, buf);
+        put_varint(buf, self.segments_scanned);
+        put_varint(buf, self.segments_pruned);
+        put_varint(buf, self.blocks_verified);
+    }
+}
+
+impl WireDecode for SiteCounters {
+    fn decode(r: &mut WireReader<'_>) -> Result<SiteCounters> {
+        Ok(SiteCounters {
+            blocks_compiled: r.varint()?,
+            blocks_interpreted: r.varint()?,
+            sketch: decode_sketches(r)?,
+            segments_scanned: r.varint()?,
+            segments_pruned: r.varint()?,
+            blocks_verified: r.varint()?,
+        })
+    }
 }
 
 impl Message {
@@ -409,33 +440,23 @@ fn encode_message(m: &Message, buf: &mut BytesMut) {
             encode_opt_frags(parts, buf);
             put_varint(buf, u64::from(*task));
         }
-        Message::RoundResult {
-            op_idx,
+        Message::Fragment {
+            op,
             seq,
-            h,
+            rel,
             compute_s,
-            blocks_compiled,
-            blocks_interpreted,
             last,
             task,
-            sketch,
-            segments_scanned,
-            segments_pruned,
-            blocks_verified,
+            counters,
         } => {
             buf.put_u8(4);
-            put_varint(buf, u64::from(*op_idx));
+            put_varint(buf, u64::from(*op));
             put_varint(buf, u64::from(*seq));
-            h.encode(buf);
+            rel.encode(buf);
             put_f64(buf, *compute_s);
-            put_varint(buf, u64::from(*blocks_compiled));
-            put_varint(buf, u64::from(*blocks_interpreted));
             last.encode(buf);
             put_varint(buf, u64::from(*task));
-            encode_sketches(sketch, buf);
-            put_varint(buf, *segments_scanned);
-            put_varint(buf, *segments_pruned);
-            put_varint(buf, *blocks_verified);
+            counters.encode(buf);
         }
         Message::LocalRun {
             start,
@@ -451,34 +472,7 @@ fn encode_message(m: &Message, buf: &mut BytesMut) {
             encode_opt_frags(parts, buf);
             put_varint(buf, u64::from(*task));
         }
-        Message::LocalRunResult {
-            end,
-            seq,
-            ship,
-            compute_s,
-            blocks_compiled,
-            blocks_interpreted,
-            last,
-            task,
-            sketch,
-            segments_scanned,
-            segments_pruned,
-            blocks_verified,
-        } => {
-            buf.put_u8(6);
-            put_varint(buf, u64::from(*end));
-            put_varint(buf, u64::from(*seq));
-            ship.encode(buf);
-            put_f64(buf, *compute_s);
-            put_varint(buf, u64::from(*blocks_compiled));
-            put_varint(buf, u64::from(*blocks_interpreted));
-            last.encode(buf);
-            put_varint(buf, u64::from(*task));
-            encode_sketches(sketch, buf);
-            put_varint(buf, *segments_scanned);
-            put_varint(buf, *segments_pruned);
-            put_varint(buf, *blocks_verified);
-        }
+        // Tag 6 is unused.
         Message::ShipAllRequest { table } => {
             buf.put_u8(7);
             put_str(buf, table);
@@ -544,19 +538,14 @@ fn decode_message(r: &mut WireReader<'_>) -> Result<Message> {
             parts: decode_opt_frags(r)?,
             task: r.varint()? as u32,
         }),
-        4 => Ok(Message::RoundResult {
-            op_idx: r.varint()? as u32,
+        4 => Ok(Message::Fragment {
+            op: r.varint()? as u32,
             seq: r.varint()? as u32,
-            h: Relation::decode(r)?,
+            rel: Relation::decode(r)?,
             compute_s: r.f64()?,
-            blocks_compiled: r.varint()? as u32,
-            blocks_interpreted: r.varint()? as u32,
             last: bool::decode(r)?,
             task: r.varint()? as u32,
-            sketch: decode_sketches(r)?,
-            segments_scanned: r.varint()?,
-            segments_pruned: r.varint()?,
-            blocks_verified: r.varint()?,
+            counters: SiteCounters::decode(r)?,
         }),
         5 => Ok(Message::LocalRun {
             start: r.varint()? as u32,
@@ -564,20 +553,6 @@ fn decode_message(r: &mut WireReader<'_>) -> Result<Message> {
             base: Option::<Relation>::decode(r)?,
             parts: decode_opt_frags(r)?,
             task: r.varint()? as u32,
-        }),
-        6 => Ok(Message::LocalRunResult {
-            end: r.varint()? as u32,
-            seq: r.varint()? as u32,
-            ship: Relation::decode(r)?,
-            compute_s: r.f64()?,
-            blocks_compiled: r.varint()? as u32,
-            blocks_interpreted: r.varint()? as u32,
-            last: bool::decode(r)?,
-            task: r.varint()? as u32,
-            sketch: decode_sketches(r)?,
-            segments_scanned: r.varint()?,
-            segments_pruned: r.varint()?,
-            blocks_verified: r.varint()?,
         }),
         7 => Ok(Message::ShipAllRequest { table: r.string()? }),
         8 => Ok(Message::ShipAllData {
@@ -1133,6 +1108,72 @@ mod tests {
         round_trip(&Message::Plan(plan));
     }
 
+    /// A standard-round reply, a local-run reply and a non-final chunk.
+    fn reply_examples(rel: &Relation) -> [Message; 3] {
+        [
+            Message::Fragment {
+                op: 3,
+                seq: 0,
+                rel: rel.clone(),
+                compute_s: 1.5,
+                last: true,
+                task: 0,
+                counters: SiteCounters {
+                    blocks_compiled: 2,
+                    blocks_interpreted: 1,
+                    segments_scanned: 5,
+                    segments_pruned: 11,
+                    blocks_verified: 35,
+                    sketch: vec![PartSketch {
+                        part: 1,
+                        rows: 99,
+                        heavy: Vec::new(),
+                    }],
+                },
+            },
+            Message::Fragment {
+                op: 2,
+                seq: 1,
+                rel: rel.clone(),
+                compute_s: 0.0,
+                last: true,
+                task: 0,
+                counters: SiteCounters {
+                    blocks_compiled: 3,
+                    blocks_interpreted: 0,
+                    segments_scanned: 2,
+                    segments_pruned: 6,
+                    blocks_verified: 10,
+                    sketch: Vec::new(),
+                },
+            },
+            Message::Fragment {
+                op: 3,
+                seq: 17,
+                rel: rel.clone(),
+                compute_s: 0.0,
+                last: false,
+                task: 1,
+                counters: SiteCounters::default(),
+            },
+        ]
+    }
+
+    /// The paper's transfer metric is counted in these bytes: a change to
+    /// the reply encoding that moves them moves every byte figure.
+    #[test]
+    fn fragment_wire_length_is_pinned() {
+        let schema = Schema::from_pairs([("k", DataType::Int64)])
+            .unwrap()
+            .into_arc();
+        let rel = Relation::new(schema, vec![vec![Value::Int(7)]]).unwrap();
+        let lens: Vec<usize> = reply_examples(&rel)
+            .iter()
+            .map(|m| m.to_wire().len())
+            .collect();
+        assert_eq!(lens, vec![29, 26, 26]);
+    }
+
     #[test]
     fn relation_messages_round_trip() {
         let schema = Schema::from_pairs([("k", DataType::Int64)])
@@ -1157,38 +1198,9 @@ mod tests {
             parts: Some(vec![PartFrag::whole(1), PartFrag::whole(3)]),
             task: 2,
         });
-        round_trip(&Message::RoundResult {
-            op_idx: 3,
-            seq: 0,
-            h: rel.clone(),
-            compute_s: 1.5,
-            blocks_compiled: 2,
-            blocks_interpreted: 1,
-            last: true,
-            task: 0,
-            sketch: vec![PartSketch {
-                part: 1,
-                rows: 99,
-                heavy: Vec::new(),
-            }],
-            segments_scanned: 5,
-            segments_pruned: 11,
-            blocks_verified: 35,
-        });
-        round_trip(&Message::RoundResult {
-            op_idx: 3,
-            seq: 17,
-            h: rel.clone(),
-            compute_s: 0.0,
-            blocks_compiled: 0,
-            blocks_interpreted: 0,
-            last: false,
-            task: 1,
-            sketch: Vec::new(),
-            segments_scanned: 0,
-            segments_pruned: 0,
-            blocks_verified: 0,
-        });
+        for m in reply_examples(&rel) {
+            round_trip(&m);
+        }
         round_trip(&Message::LocalRun {
             start: 0,
             end: 2,
@@ -1202,20 +1214,6 @@ mod tests {
             base: None,
             parts: Some(vec![PartFrag::whole(0)]),
             task: 0,
-        });
-        round_trip(&Message::LocalRunResult {
-            end: 2,
-            seq: 1,
-            ship: rel.clone(),
-            compute_s: 0.0,
-            blocks_compiled: 3,
-            blocks_interpreted: 0,
-            last: true,
-            task: 0,
-            sketch: Vec::new(),
-            segments_scanned: 2,
-            segments_pruned: 6,
-            blocks_verified: 10,
         });
         round_trip(&Message::ShipAllRequest {
             table: "flow".into(),

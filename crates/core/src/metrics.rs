@@ -16,6 +16,8 @@ use std::fmt;
 
 use skalla_net::{CostModel, NodeId};
 
+use crate::message::SiteCounters;
+
 /// How many of the plan's sites contributed to the result.
 ///
 /// `n/n` for a fault-free execution; under
@@ -113,6 +115,15 @@ pub struct RoundMetrics {
 }
 
 impl RoundMetrics {
+    /// Add the counters the sites reported this round.
+    pub(crate) fn add_site_counters(&mut self, c: &SiteCounters) {
+        self.blocks_compiled += c.blocks_compiled;
+        self.blocks_interpreted += c.blocks_interpreted;
+        self.segments_scanned += c.segments_scanned;
+        self.segments_pruned += c.segments_pruned;
+        self.blocks_verified += c.blocks_verified;
+    }
+
     /// Modeled response time of this round.
     pub fn modeled_time_s(&self) -> f64 {
         self.comm_modeled_s + self.site_compute_max_s + self.coord_compute_s

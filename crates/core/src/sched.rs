@@ -370,9 +370,7 @@ fn worker_loop(wh: &DistributedWarehouse, rx: Receiver<Ticket>, sh: &Shared, int
             }
             Err(e) => {
                 let failed = active.remove(rr);
-                let _ = failed.reply.send(Err(e));
-                sh.counters.failed.fetch_add(1, Ordering::Relaxed);
-                release_slot(sh);
+                answer(sh, &failed.reply, Err(e));
             }
         }
     }
@@ -397,9 +395,7 @@ fn admit<'w>(
                 cache_hits: 1,
                 ..ExecMetrics::default()
             };
-            let _ = t.reply.send(Ok((rel, m)));
-            sh.counters.completed.fetch_add(1, Ordering::Relaxed);
-            release_slot(sh);
+            answer(sh, &t.reply, Ok((rel, m)));
             return None;
         }
         Some(key)
@@ -418,37 +414,45 @@ fn admit<'w>(
             })
         }
         Err(e) => {
-            let _ = t.reply.send(Err(e));
-            sh.counters.failed.fetch_add(1, Ordering::Relaxed);
-            release_slot(sh);
+            answer(sh, &t.reply, Err(e));
             None
         }
     }
 }
 
-/// Reply to a completed run, cache its result when eligible, release the
-/// admission slot.
+/// Reply to a completed run, caching its result when eligible.
 fn finish(sh: &Shared, a: Active<'_>) {
-    match a.run.into_result() {
-        Ok((rel, mut m)) => {
-            if let Some(key) = &a.key {
-                m.cache_misses = 1;
-                // `insert` refuses partial coverage, so a degraded answer
-                // can never be replayed as an exact one.
-                sh.cache
-                    .lock()
-                    .expect("cache lock")
-                    .insert(key, rel.clone(), m.coverage);
-            }
-            let _ = a.reply.send(Ok((rel, m)));
-            sh.counters.completed.fetch_add(1, Ordering::Relaxed);
+    let res = a.run.into_result().map(|(rel, mut m)| {
+        if let Some(key) = &a.key {
+            m.cache_misses = 1;
+            // `insert` refuses partial coverage, so a degraded answer
+            // can never be replayed as an exact one.
+            sh.cache
+                .lock()
+                .expect("cache lock")
+                .insert(key, rel.clone(), m.coverage);
         }
-        Err(e) => {
-            let _ = a.reply.send(Err(e));
-            sh.counters.failed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+        (rel, m)
+    });
+    answer(sh, &a.reply, res);
+}
+
+/// Count a query's outcome and free its admission slot, then send the
+/// reply. In that order, a client that reads [`QueryScheduler::stats`] as
+/// soon as its `wait` returns sees its own query counted and no longer in
+/// flight.
+fn answer(
+    sh: &Shared,
+    reply: &Sender<Result<(Relation, ExecMetrics)>>,
+    res: Result<(Relation, ExecMetrics)>,
+) {
+    let counter = match res {
+        Ok(_) => &sh.counters.completed,
+        Err(_) => &sh.counters.failed,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
     release_slot(sh);
+    let _ = reply.send(res);
 }
 
 fn release_slot(sh: &Shared) {
@@ -672,6 +676,41 @@ mod tests {
             t.wait().unwrap();
         }
         assert_eq!(sched.stats().rejected, busy);
+        sched.shutdown().unwrap();
+        drop(sched);
+        Arc::try_unwrap(wh).ok().unwrap().shutdown().unwrap();
+    }
+
+    /// Stats are exact the moment `wait` returns: the outcome is counted
+    /// and the slot freed before the reply is sent, on hits, misses and
+    /// failures alike.
+    #[test]
+    fn stats_are_current_when_wait_returns() {
+        let (wh, _full) = warehouse(2, 40);
+        let sched = QueryScheduler::launch(Arc::clone(&wh), SchedConfig::default());
+        let (mut completed, mut failed) = (0, 0);
+        for i in 0..300i64 {
+            let plan = if i % 10 == 9 {
+                // Names a table no site holds: the run fails.
+                let mut e = query(0);
+                e.detail_name = "missing".into();
+                DistPlan::unoptimized(e)
+            } else {
+                // Eight distinct plans, so most submissions are cache hits.
+                DistPlan::unoptimized(query(i % 8))
+            };
+            match sched.submit(plan).unwrap().wait() {
+                Ok(_) => completed += 1,
+                Err(_) => failed += 1,
+            }
+            let s = sched.stats();
+            assert_eq!(
+                (s.completed, s.failed, s.in_flight),
+                (completed, failed, 0),
+                "after {i}"
+            );
+        }
+        assert_eq!(failed, 30);
         sched.shutdown().unwrap();
         drop(sched);
         Arc::try_unwrap(wh).ok().unwrap().shutdown().unwrap();

@@ -18,7 +18,7 @@ use skalla_storage::{
 };
 use skalla_types::{Relation, Result, Schema, SkallaError, Value};
 
-use crate::message::{Message, ScrubEntry};
+use crate::message::{Message, ScrubEntry, SiteCounters};
 use crate::plan::DistPlan;
 
 /// The clock behind every `compute_s` a site reports: per-thread CPU
@@ -531,31 +531,21 @@ impl SiteState {
                 eval_gmdj_sub_segments(&base, file, op, &opts, plan.segment_prune, *range)?
             }
         };
-        let blocks_compiled = stats.blocks_compiled;
-        let blocks_interpreted = (stats.blocks_hashed + stats.blocks_nested) - blocks_compiled;
         let h = if reduce { strip_unmatched(h)? } else { h };
         // Cardinality-only sketches (O(#parts)): the coordinator refreshes
         // its load estimates from every reply, not just base rounds.
-        let sketch = self.part_sketches(plan.expr.detail_for_op(op_idx), parts, None)?;
-        let compute_s = site_clock_s() - started;
-        Ok(chunk_relation(h, plan.block_rows)
-            .into_iter()
-            .enumerate()
-            .map(|(seq, (chunk, last))| Message::RoundResult {
-                op_idx: op_idx as u32,
-                seq: seq as u32,
-                h: chunk,
-                compute_s: if last { compute_s } else { 0.0 },
-                blocks_compiled: if last { blocks_compiled } else { 0 },
-                blocks_interpreted: if last { blocks_interpreted } else { 0 },
-                last,
-                task,
-                sketch: if last { sketch.clone() } else { Vec::new() },
-                segments_scanned: if last { seg.scanned } else { 0 },
-                segments_pruned: if last { seg.pruned } else { 0 },
-                blocks_verified: if last { seg.blocks_verified } else { 0 },
-            })
-            .collect())
+        let counters = SiteCounters {
+            sketch: self.part_sketches(plan.expr.detail_for_op(op_idx), parts, None)?,
+            ..SiteCounters::of_eval(&stats, &seg)
+        };
+        Ok(fragments(
+            op_idx,
+            h,
+            plan.block_rows,
+            task,
+            site_clock_s() - started,
+            counters,
+        ))
     }
 
     /// A synchronization-reduced local run: evaluate operators
@@ -595,9 +585,7 @@ impl SiteState {
         let mut total_matches = vec![0u64; n];
         let mut current = base_rel.clone();
         let mut state_fields = Vec::new();
-        let mut blocks_compiled = 0u32;
-        let mut blocks_interpreted = 0u32;
-        let mut seg_total = SegScanStats::default();
+        let mut counters = SiteCounters::default();
 
         for k in start..=end {
             let op = &expr.ops[k];
@@ -617,16 +605,11 @@ impl SiteState {
                     eval_gmdj_dual_segments(&current, file, op, &opts, plan.segment_prune, *range)?
                 }
             };
-            seg_total.scanned += seg.scanned;
-            seg_total.pruned += seg.pruned;
-            seg_total.blocks_verified += seg.blocks_verified;
+            counters += SiteCounters::of_eval(&dual.stats, &seg);
             for (i, st) in dual.states.iter().enumerate() {
                 acc_states[i].extend(st.iter().cloned());
                 total_matches[i] += dual.match_counts[i];
             }
-            blocks_compiled += dual.stats.blocks_compiled;
-            blocks_interpreted +=
-                (dual.stats.blocks_hashed + dual.stats.blocks_nested) - dual.stats.blocks_compiled;
             current = dual.full;
         }
 
@@ -644,26 +627,15 @@ impl SiteState {
             rows.push(row);
         }
         let ship = Relation::from_rows_unchecked(schema, rows);
-        let sketch = self.part_sketches(&expr.detail_name, parts, None)?;
-        let compute_s = site_clock_s() - started;
-        Ok(chunk_relation(ship, plan.block_rows)
-            .into_iter()
-            .enumerate()
-            .map(|(seq, (chunk, last))| Message::LocalRunResult {
-                end: end as u32,
-                seq: seq as u32,
-                ship: chunk,
-                compute_s: if last { compute_s } else { 0.0 },
-                blocks_compiled: if last { blocks_compiled } else { 0 },
-                blocks_interpreted: if last { blocks_interpreted } else { 0 },
-                last,
-                task,
-                sketch: if last { sketch.clone() } else { Vec::new() },
-                segments_scanned: if last { seg_total.scanned } else { 0 },
-                segments_pruned: if last { seg_total.pruned } else { 0 },
-                blocks_verified: if last { seg_total.blocks_verified } else { 0 },
-            })
-            .collect())
+        counters.sketch = self.part_sketches(&expr.detail_name, parts, None)?;
+        Ok(fragments(
+            end,
+            ship,
+            plan.block_rows,
+            task,
+            site_clock_s() - started,
+            counters,
+        ))
     }
 }
 
@@ -774,6 +746,40 @@ fn segmented_distinct_project(
         Ok(())
     })?;
     Ok(Relation::from_rows_unchecked(schema, rows))
+}
+
+/// A round's or local run's reply: `rel` row-blocked into
+/// [`Message::Fragment`] chunks, with the compute time and counters on
+/// the final chunk only.
+fn fragments(
+    op: usize,
+    rel: Relation,
+    block_rows: Option<usize>,
+    task: u32,
+    compute_s: f64,
+    counters: SiteCounters,
+) -> Vec<Message> {
+    let mut tail = Some((compute_s, counters));
+    chunk_relation(rel, block_rows)
+        .into_iter()
+        .enumerate()
+        .map(|(seq, (chunk, last))| {
+            let (compute_s, counters) = if last {
+                tail.take().unwrap_or_default()
+            } else {
+                Default::default()
+            };
+            Message::Fragment {
+                op: op as u32,
+                seq: seq as u32,
+                rel: chunk,
+                compute_s,
+                last,
+                task,
+                counters,
+            }
+        })
+        .collect()
 }
 
 /// Split a relation into `(chunk, is_last)` pieces of at most `block_rows`

@@ -15,6 +15,7 @@
 //! [`TieredWarehouse::execute`] ignores `coord_filters` (dropping a
 //! reduction is always sound).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,7 +26,7 @@ use skalla_storage::Catalog;
 use skalla_types::{DataType, Relation, Result, Schema, SkallaError};
 
 use crate::baseresult::BaseResult;
-use crate::message::Message;
+use crate::message::{Message, SiteCounters};
 use crate::metrics::ExecMetrics;
 use crate::plan::{DistPlan, RetryPolicy};
 use crate::site::run_site_with_parent;
@@ -185,6 +186,7 @@ fn run_midtier(endpoint: Endpoint, children: Vec<NodeId>) {
         plan: None,
         epoch: 0,
         round: 0,
+        shutdown_pending: Cell::new(false),
     };
     loop {
         let env = match endpoint.recv() {
@@ -237,6 +239,10 @@ fn run_midtier(endpoint: Endpoint, children: Vec<NodeId>) {
         if shutdown {
             return;
         }
+        if state.shutdown_pending.get() {
+            let _ = state.handle(&endpoint, &children, Message::Shutdown);
+            return;
+        }
     }
 }
 
@@ -248,19 +254,20 @@ struct MidState {
     /// Round number of the request currently being relayed (echoed by the
     /// children and back to the root).
     round: u32,
+    /// Set when the root's `Shutdown` arrives while a child collection is
+    /// still waiting (the root gave up on the query). The collection
+    /// stops and the relay loop passes the shutdown on; dropping it would
+    /// leave this mid-tier and its leaves blocked in `recv` and the
+    /// root's `shutdown` join hung.
+    shutdown_pending: Cell<bool>,
 }
 
 impl MidState {
     fn handle(&mut self, ep: &Endpoint, children: &[NodeId], msg: Message) -> Result<Vec<Message>> {
-        match msg {
+        match &msg {
             Message::Plan(p) => {
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::Plan(p.clone()).to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
-                self.plan = Some(p);
+                self.broadcast(ep, children, &msg)?;
+                self.plan = Some(p.clone());
                 Ok(Vec::new())
             }
             Message::Shutdown => {
@@ -269,17 +276,8 @@ impl MidState {
                 }
                 Ok(Vec::new())
             }
-            Message::ComputeBase { parts, task } => {
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::ComputeBase {
-                            parts: parts.clone(),
-                            task,
-                        }
-                        .to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
+            Message::ComputeBase { task, .. } => {
+                self.broadcast(ep, children, &msg)?;
                 let mut combined: Option<Relation> = None;
                 let mut max_s: f64 = 0.0;
                 let mut sketches = Vec::new();
@@ -311,94 +309,21 @@ impl MidState {
                 Ok(vec![Message::BaseFragment {
                     rel,
                     compute_s: max_s,
-                    task,
+                    task: *task,
                     sketch: sketches,
                 }])
             }
-            Message::Round {
-                op_idx,
-                base,
-                parts,
-                task,
-            } => {
-                let specs = self.segment_specs(op_idx as usize, op_idx as usize)?;
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::Round {
-                            op_idx,
-                            base: base.clone(),
-                            parts: parts.clone(),
-                            task,
-                        }
-                        .to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
-                let (merged, max_s, bc, bi, sketches, seg) =
-                    self.merge_cluster(ep, children.len(), specs)?;
-                Ok(vec![Message::RoundResult {
-                    op_idx,
-                    seq: 0,
-                    h: merged,
-                    compute_s: max_s,
-                    blocks_compiled: bc,
-                    blocks_interpreted: bi,
-                    last: true,
-                    task,
-                    sketch: sketches,
-                    segments_scanned: seg.scanned,
-                    segments_pruned: seg.pruned,
-                    blocks_verified: seg.blocks_verified,
-                }])
+            Message::Round { op_idx, task, .. } => {
+                self.relay_segment(ep, children, &msg, *op_idx, *op_idx, *task)
             }
             Message::LocalRun {
-                start,
-                end,
-                base,
-                parts,
-                task,
-            } => {
-                let specs = self.segment_specs(start as usize, end as usize)?;
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::LocalRun {
-                            start,
-                            end,
-                            base: base.clone(),
-                            parts: parts.clone(),
-                            task,
-                        }
-                        .to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
-                let (merged, max_s, bc, bi, sketches, seg) =
-                    self.merge_cluster(ep, children.len(), specs)?;
-                Ok(vec![Message::LocalRunResult {
-                    end,
-                    seq: 0,
-                    ship: merged,
-                    compute_s: max_s,
-                    blocks_compiled: bc,
-                    blocks_interpreted: bi,
-                    last: true,
-                    task,
-                    sketch: sketches,
-                    segments_scanned: seg.scanned,
-                    segments_pruned: seg.pruned,
-                    blocks_verified: seg.blocks_verified,
-                }])
-            }
+                start, end, task, ..
+            } => self.relay_segment(ep, children, &msg, *start, *end, *task),
             Message::ScrubRequest => {
                 // Fan the scrub out and concatenate the cluster's reports:
                 // the root sees one flat entry list per mid-tier, exactly
                 // as if the leaves were its direct children.
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::ScrubRequest.to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
+                self.broadcast(ep, children, &msg)?;
                 let mut entries = Vec::new();
                 for _ in children {
                     match self.recv(ep)? {
@@ -412,16 +337,8 @@ impl MidState {
                 }
                 Ok(vec![Message::ScrubReport { entries }])
             }
-            Message::ShipAllRequest { table } => {
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::ShipAllRequest {
-                            table: table.clone(),
-                        }
-                        .to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
+            Message::ShipAllRequest { .. } => {
+                self.broadcast(ep, children, &msg)?;
                 let mut combined: Option<Relation> = None;
                 let mut total_s = 0.0;
                 for _ in children {
@@ -451,6 +368,41 @@ impl MidState {
         }
     }
 
+    /// Forward a request to every child of the cluster, encoded once.
+    fn broadcast(&self, ep: &Endpoint, children: &[NodeId], msg: &Message) -> Result<()> {
+        let wire = msg.to_wire_framed(self.epoch, self.round);
+        for &c in children {
+            ep.send(c, wire.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Relay a round (`start == end`) or local-run request over
+    /// operators `start..=end` to the cluster, and answer with the
+    /// cluster's pre-synchronized fragment.
+    fn relay_segment(
+        &self,
+        ep: &Endpoint,
+        children: &[NodeId],
+        req: &Message,
+        start: u32,
+        end: u32,
+        task: u32,
+    ) -> Result<Vec<Message>> {
+        let specs = self.segment_specs(start as usize, end as usize)?;
+        self.broadcast(ep, children, req)?;
+        let (rel, compute_s, counters) = self.merge_cluster(ep, children.len(), specs)?;
+        Ok(vec![Message::Fragment {
+            op: end,
+            seq: 0,
+            rel,
+            compute_s,
+            last: true,
+            task,
+            counters,
+        }])
+    }
+
     /// Collect one child reply, bounded by the plan's full retry budget
     /// (the sum of every attempt window). A crashed or silent child turns
     /// into an error instead of hanging the mid-tier forever; the error
@@ -469,6 +421,10 @@ impl MidState {
                 continue; // loop re-checks the deadline
             };
             let (epoch, round, msg) = Message::from_wire_framed(&env.payload)?;
+            if env.src == 0 && matches!(msg, Message::Shutdown) {
+                self.shutdown_pending.set(true);
+                return Err(SkallaError::exec("mid-tier shut down mid-collection"));
+            }
             if epoch != self.epoch || round != self.round {
                 continue; // straggler from an aborted query or earlier round
             }
@@ -515,25 +471,15 @@ impl MidState {
     }
 
     /// Pre-synchronize the cluster's fragments (handles row-blocked chunks)
-    /// and return the merged state relation, the slowest child time, the
-    /// cluster's summed compiled/interpreted block counts, the children's
-    /// concatenated skew sketches (relayed upward so the root still learns
-    /// per-partition loads through the tree), and the cluster's summed
-    /// segment scan/prune counters.
-    #[allow(clippy::type_complexity)]
+    /// and return the merged state relation, the slowest child time, and
+    /// the cluster's summed counters (their skew sketches relayed upward,
+    /// so the root still learns per-partition loads through the tree).
     fn merge_cluster(
         &self,
         ep: &Endpoint,
         num_children: usize,
         specs: Vec<AggSpec>,
-    ) -> Result<(
-        Relation,
-        f64,
-        u32,
-        u32,
-        Vec<skalla_storage::PartSketch>,
-        skalla_gmdj::SegScanStats,
-    )> {
+    ) -> Result<(Relation, f64, SiteCounters)> {
         let plan = self.plan.as_ref().expect("checked in segment_specs");
         let key = plan.expr.key.clone();
         let workers = plan.coord_parallelism;
@@ -543,71 +489,25 @@ impl MidState {
         let mut x: Option<ClusterSync> = None;
         let mut pending = num_children;
         let mut max_s: f64 = 0.0;
-        let mut total_bc = 0u32;
-        let mut total_bi = 0u32;
-        let mut sketches = Vec::new();
-        let mut seg = skalla_gmdj::SegScanStats::default();
+        let mut counters = SiteCounters::default();
         while pending > 0 {
-            let (h, compute_s, bc, bi, last, sketch, scanned, pruned, blk_v) =
-                match self.recv(ep)? {
-                    Message::RoundResult {
-                        h,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                        ..
-                    } => (
-                        h,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                    ),
-                    Message::LocalRunResult {
-                        ship,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                        ..
-                    } => (
-                        ship,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                    ),
-                    other => {
-                        return Err(SkallaError::exec(format!(
-                            "mid-tier expected round result, got {other:?}"
-                        )))
-                    }
-                };
+            let (h, compute_s, last, c) = match self.recv(ep)? {
+                Message::Fragment {
+                    rel,
+                    compute_s,
+                    last,
+                    counters,
+                    ..
+                } => (rel, compute_s, last, counters),
+                other => {
+                    return Err(SkallaError::exec(format!(
+                        "mid-tier expected round result, got {other:?}"
+                    )))
+                }
+            };
+            counters += c;
             if last {
                 max_s = max_s.max(compute_s);
-                total_bc += bc;
-                total_bi += bi;
-                sketches.extend(sketch);
-                seg.scanned += scanned;
-                seg.pruned += pruned;
-                seg.blocks_verified += blk_v;
                 pending -= 1;
             }
             let x = match &mut x {
@@ -665,6 +565,41 @@ impl MidState {
             Some(ClusterSync::Sharded(s)) => s.finish()?.0,
             None => return Err(SkallaError::exec("mid-tier cluster produced no fragments")),
         };
-        Ok((merged, max_s, total_bc, total_bi, sketches, seg))
+        Ok((merged, max_s, counters))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The root's `Shutdown` can reach a mid-tier while it is still
+    /// waiting on its cluster: the relay must pass it on and exit, not
+    /// drop it as a straggler.
+    #[test]
+    fn shutdown_during_collection_reaches_the_leaves() {
+        let (_net, mut eps) = SimNetwork::full_mesh(3, CostModel::free());
+        let leaf = eps.pop().expect("leaf endpoint");
+        let mid = eps.pop().expect("mid-tier endpoint");
+        let root = eps.pop().expect("root endpoint");
+        let relay = std::thread::spawn(move || run_midtier(mid, vec![2]));
+        // The leaf never answers, so the mid-tier is still collecting
+        // (for the default retry budget, minutes) when the shutdown
+        // arrives right behind the request.
+        let req = Message::ComputeBase {
+            parts: None,
+            task: 0,
+        };
+        root.send(1, req.to_wire_framed(1, 1)).unwrap();
+        root.send_reliable(1, Message::Shutdown.to_wire_framed(1, 0))
+            .unwrap();
+        let got: Vec<Message> = (0..2)
+            .map(|_| {
+                let env = leaf.recv_timeout(Duration::from_secs(10)).unwrap();
+                Message::from_wire_framed(&env.payload).unwrap().2
+            })
+            .collect();
+        assert_eq!(got, vec![req, Message::Shutdown]);
+        relay.join().unwrap();
     }
 }

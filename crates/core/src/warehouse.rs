@@ -30,7 +30,7 @@ use skalla_types::{DataType, Field, Relation, Result, Schema, SkallaError, Value
 
 use crate::baseresult::BaseResult;
 use crate::checkpoint::{plan_fingerprint, CheckpointRecord, CheckpointWal};
-use crate::message::{Message, ScrubEntry};
+use crate::message::{Message, ScrubEntry, SiteCounters};
 use crate::metrics::{Coverage, ExecMetrics, RoundMetrics};
 use crate::plan::{BaseRound, DegradedMode, DistPlan, RetryPolicy, Segment};
 use crate::site::run_site;
@@ -898,18 +898,7 @@ impl DistributedWarehouse {
             comm_modeled_s: delta.serial_time(&cost),
             sites: site_times.len(),
             groups,
-            blocks_compiled: 0,
-            blocks_interpreted: 0,
-            sync_decode_s: 0.0,
-            sync_merge_s: 0.0,
-            sync_finalize_s: 0.0,
-            sync_workers: 0,
-            sync_shards: 0,
-            sync_utilization: 0.0,
-            sync_imbalance: 0.0,
-            segments_scanned: 0,
-            segments_pruned: 0,
-            blocks_verified: 0,
+            ..RoundMetrics::default()
         }
     }
 
@@ -2041,12 +2030,7 @@ impl<'a> QueryRun<'a> {
         let mut decode_s = 0.0;
         let mut site_times = Vec::with_capacity(requests.len());
         let mut rows_up = 0u64;
-        let mut blocks_compiled = 0u64;
-        let mut blocks_interpreted = 0u64;
-        let mut segments_scanned = 0u64;
-        let mut segments_pruned = 0u64;
-        let mut blocks_verified = 0u64;
-        let mut sketches: Vec<PartSketch> = Vec::new();
+        let mut counters = SiteCounters::default();
         self.epoch = wh.collect_round(
             self.epoch,
             round_no,
@@ -2059,65 +2043,23 @@ impl<'a> QueryRun<'a> {
             &mut self.metrics.checksum_failures,
             fo_round.as_mut(),
             &mut |src, msg| {
-                let (h, compute_s, bc, bi, last, sketch, seg_sc, seg_pr, blk_v) = match msg {
-                    Message::RoundResult {
-                        h,
+                let (h, compute_s, last, c) = match msg {
+                    Message::Fragment {
+                        rel,
                         compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
                         last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
+                        counters,
                         ..
-                    } => (
-                        h,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                    ),
-                    Message::LocalRunResult {
-                        ship,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                        ..
-                    } => (
-                        ship,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                    ),
+                    } => (rel, compute_s, last, counters),
                     other => {
                         return Err(SkallaError::exec(format!(
                             "site {src}: expected round result, got {other:?}"
                         )))
                     }
                 };
-                blocks_compiled += u64::from(bc);
-                blocks_interpreted += u64::from(bi);
-                segments_scanned += seg_sc;
-                segments_pruned += seg_pr;
-                blocks_verified += blk_v;
+                counters += c;
                 let t = Instant::now();
                 rows_up += h.len() as u64;
-                sketches.extend(sketch);
                 match &mut x {
                     // Serial: the closure time IS the merge time.
                     Syncer::Serial(b) => b.merge_fragment(&h, local_base)?,
@@ -2135,7 +2077,7 @@ impl<'a> QueryRun<'a> {
         )?;
         drop(fo_round);
         if let Some(table) = &skew_table {
-            self.absorb_sketches(table, &sketches);
+            self.absorb_sketches(table, &counters.sketch);
         }
         let t_final = Instant::now();
         let (finalized, merge_s, finalize_s, workers, shards, utilization, imbalance, sync_tail_s) =
@@ -2181,8 +2123,7 @@ impl<'a> QueryRun<'a> {
             rows_down,
             rows_up,
         );
-        rm.blocks_compiled = blocks_compiled;
-        rm.blocks_interpreted = blocks_interpreted;
+        rm.add_site_counters(&counters);
         rm.sync_decode_s = decode_s;
         rm.sync_merge_s = merge_s;
         rm.sync_finalize_s = finalize_s;
@@ -2190,9 +2131,6 @@ impl<'a> QueryRun<'a> {
         rm.sync_shards = shards;
         rm.sync_utilization = utilization;
         rm.sync_imbalance = imbalance;
-        rm.segments_scanned = segments_scanned;
-        rm.segments_pruned = segments_pruned;
-        rm.blocks_verified = blocks_verified;
         self.metrics.rounds.push(rm);
         self.current = Some(finalized);
         self.write_checkpoint(self.base_syncs + seg_idx as u32 + 1)
@@ -2387,8 +2325,7 @@ fn reply_seq_last(msg: &Message) -> Option<(u32, bool)> {
         | Message::ShipAllData { .. }
         | Message::SegmentsLoaded { .. }
         | Message::ScrubReport { .. } => Some((0, true)),
-        Message::RoundResult { seq, last, .. } => Some((*seq, *last)),
-        Message::LocalRunResult { seq, last, .. } => Some((*seq, *last)),
+        Message::Fragment { seq, last, .. } => Some((*seq, *last)),
         _ => None,
     }
 }
@@ -2397,9 +2334,7 @@ fn reply_seq_last(msg: &Message) -> Option<(u32, bool)> {
 /// task protocol, e.g. `ShipAllData`).
 fn reply_task(msg: &Message) -> u32 {
     match msg {
-        Message::BaseFragment { task, .. }
-        | Message::RoundResult { task, .. }
-        | Message::LocalRunResult { task, .. } => *task,
+        Message::BaseFragment { task, .. } | Message::Fragment { task, .. } => *task,
         _ => 0,
     }
 }

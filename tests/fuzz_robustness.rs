@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use skalla::core::checkpoint::decode_frame;
-use skalla::core::message::Message;
+use skalla::core::message::{Message, SiteCounters};
 use skalla::net::{WireDecode, WireReader};
 use skalla::prelude::*;
 
@@ -65,19 +65,17 @@ proptest! {
             schema,
             vec![vec![Value::Int(42)], vec![Value::Int(-7)]],
         ).unwrap();
-        let msg = Message::RoundResult {
-            op_idx: 1,
+        let msg = Message::Fragment {
+            op: 1,
             seq: 0,
-            h: rel,
+            rel,
             compute_s: 0.5,
-            blocks_compiled: 1,
-            blocks_interpreted: 0,
             last: true,
             task: 0,
-            sketch: Vec::new(),
-            segments_scanned: 0,
-            segments_pruned: 0,
-            blocks_verified: 0,
+            counters: SiteCounters {
+                blocks_compiled: 1,
+                ..SiteCounters::default()
+            },
         };
         let mut bytes = msg.to_wire_framed(3, 1).to_vec();
         let idx = pos % bytes.len();
