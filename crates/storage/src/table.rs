@@ -1,5 +1,6 @@
 //! The columnar [`Table`].
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use skalla_expr::{eval_detail, eval_predicate, Batch, Expr};
@@ -71,6 +72,23 @@ impl Table {
             columns,
             len: len.unwrap_or(0),
         })
+    }
+
+    /// [`Table::from_columns`] for a known row count: a projection onto
+    /// zero columns keeps its `len` rows instead of collapsing to empty.
+    pub(crate) fn from_columns_with_len(
+        schema: Arc<Schema>,
+        columns: Vec<Column>,
+        len: usize,
+    ) -> Result<Table> {
+        let table = Table::from_columns(schema, columns)?;
+        if !table.columns.is_empty() && table.len != len {
+            return Err(SkallaError::schema(format!(
+                "columns have {} rows, expected {len}",
+                table.len
+            )));
+        }
+        Ok(Table { len, ..table })
     }
 
     /// Build a table from rows.
@@ -203,15 +221,9 @@ impl Table {
     /// `π_{SAS,DAS}(Flow)` (paper Example 1) are computed at each site.
     pub fn distinct_project(&self, indices: &[usize]) -> Result<Relation> {
         let schema = Arc::new(self.schema.project(indices)?);
-        let mut seen = std::collections::HashSet::new();
-        let mut rows = Vec::new();
-        for i in 0..self.len {
-            let key: Row = indices.iter().map(|&c| self.columns[c].get(i)).collect();
-            if seen.insert(key.clone()) {
-                rows.push(key);
-            }
-        }
-        Ok(Relation::from_rows_unchecked(schema, rows))
+        let mut distinct = DistinctRows::default();
+        distinct.offer(self, indices);
+        Ok(distinct.into_relation(schema))
     }
 
     /// Convert the whole table to a row-oriented [`Relation`].
@@ -243,6 +255,40 @@ impl Table {
             columns,
             len: total,
         })
+    }
+}
+
+/// The distinct rows of a column projection in first-seen order, fed one
+/// table at a time: the one distinct loop behind
+/// [`Table::distinct_project`] and the out-of-core base computation, which
+/// feeds it a decoded segment at a time.
+#[derive(Debug, Default)]
+pub struct DistinctRows {
+    seen: HashSet<Row>,
+    rows: Vec<Row>,
+    /// Probe buffer, reused across rows that repeat a seen key.
+    key: Row,
+}
+
+impl DistinctRows {
+    /// Offer every row of `table` projected onto `cols` (which must be in
+    /// range). A key is cloned only when it starts a new group.
+    pub fn offer(&mut self, table: &Table, cols: &[usize]) {
+        let cols: Vec<&Column> = cols.iter().map(|&c| &table.columns[c]).collect();
+        for i in 0..table.len {
+            self.key.clear();
+            self.key.extend(cols.iter().map(|c| c.get(i)));
+            if !self.seen.contains(&self.key) {
+                let key = std::mem::take(&mut self.key);
+                self.rows.push(key.clone());
+                self.seen.insert(key);
+            }
+        }
+    }
+
+    /// The distinct rows under `schema`, in first-seen order.
+    pub fn into_relation(self, schema: Arc<Schema>) -> Relation {
+        Relation::from_rows_unchecked(schema, self.rows)
     }
 }
 
@@ -427,6 +473,19 @@ mod tests {
         let b = t.distinct_project(&[0, 1]).unwrap();
         assert_eq!(b.len(), 3); // (1,10), (2,20), (1,20)
         assert_eq!(b.schema().names(), vec!["sas", "das"]);
+    }
+
+    #[test]
+    fn distinct_rows_fed_in_pieces_match_one_pass() {
+        let t = flow_table();
+        let whole = t.distinct_project(&[1, 0]).unwrap();
+        let mut d = DistinctRows::default();
+        for (lo, hi) in [(0, 1), (1, 3), (3, 4)] {
+            d.offer(&t.row_range(lo, hi).unwrap(), &[1, 0]);
+        }
+        let pieces = d.into_relation(whole.schema().clone());
+        assert_eq!(pieces.rows(), whole.rows());
+        assert_eq!(whole.row(0), &vec![Value::Int(10), Value::Int(1)]);
     }
 
     #[test]

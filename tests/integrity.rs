@@ -457,6 +457,139 @@ fn out_of_band_byte_damage_fails_over() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+// ------------------------------------------------------ projected scans
+
+/// `flow` plus a `note` column that [`query`] never reads: a projected
+/// scan decodes only `k` and `v`, yet must still check `note`'s CRCs.
+fn wide_schema() -> std::sync::Arc<Schema> {
+    Schema::from_pairs([
+        ("k", DataType::Int64),
+        ("v", DataType::Int64),
+        ("note", DataType::Utf8),
+    ])
+    .unwrap()
+    .into_arc()
+}
+
+fn wide_partitioning() -> Partitioning {
+    let data: Vec<Vec<Value>> = (0..ROWS)
+        .map(|i| {
+            vec![
+                Value::Int((i % 7) as i64),
+                Value::Int(i as i64),
+                Value::str(format!("note-{}", i % 5)),
+            ]
+        })
+        .collect();
+    let table = Table::from_rows(wide_schema(), &data).unwrap();
+    partition_by_hash(&table, 0, SITES).unwrap()
+}
+
+fn wide_query() -> GmdjExpr {
+    let schemas = HashMap::from([("flow".to_string(), wide_schema())]);
+    let text = "BASE DISTINCT k FROM flow;
+         MD COUNT(*) AS c, SUM(v) AS s WHERE b.k = r.k;
+         MD COUNT(*) AS hi WHERE b.k = r.k AND r.v >= b.s / b.c;";
+    parse_query(text, &schemas).unwrap()
+}
+
+/// Byte offset, in the file at `path`, of the first sealed byte of column
+/// `col`'s chunk in segment `seg` (chunks are framed as `u64` length,
+/// `u32` CRC32C, bytes).
+fn chunk_start(path: &str, seg: usize, col: usize) -> usize {
+    let bytes = std::fs::read(path).unwrap();
+    let mut pos = SegmentFile::open(path).unwrap().meta(seg).offset as usize;
+    for _ in 0..col {
+        let len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
+        pos += 12 + len as usize;
+    }
+    pos + 12
+}
+
+/// A flipped bit in a column chunk the query never decodes still fails
+/// that segment's scan with a typed `SegmentCorrupt` and goes through the
+/// degradation ladder: `Fail` errors, `Failover` answers bit-exactly from
+/// a replica. On clean files every scanned segment verifies all of its
+/// chunks — as many blocks as the schema has columns — not just the
+/// columns it decodes.
+#[test]
+fn corruption_in_an_unread_column_still_fails_the_scan() {
+    let parts = wide_partitioning();
+    let mut full = Catalog::new();
+    full.register("flow", Table::concat(&parts.parts).unwrap());
+    let truth = eval_expr_centralized(&wide_query(), &full)
+        .unwrap()
+        .sorted();
+    let dir = scratch_dir("unread-col");
+    let paths: Vec<String> = (0..SITES)
+        .map(|site| {
+            let path = dir.join(format!("flow-{site}.seg"));
+            write_segments(&path, &parts.parts[site], SEG_ROWS).unwrap();
+            path.to_string_lossy().into_owned()
+        })
+        .collect();
+    let run_wide = |wh: &DistributedWarehouse, degraded| {
+        let mut plan = DistPlan::unoptimized(wide_query());
+        plan.retry = retry(degraded);
+        wh.execute(&plan).map(|(r, m)| (r.sorted(), m))
+    };
+    let catalogs: Vec<Catalog> = parts
+        .parts
+        .iter()
+        .map(|p| {
+            let mut c = Catalog::new();
+            c.register("flow", p.clone());
+            c
+        })
+        .collect();
+    let plain = DistributedWarehouse::launch(catalogs, CostModel::free()).unwrap();
+    plain.load_segments("flow", &paths).unwrap();
+    let replicated = DistributedWarehouse::launch_replicated(
+        "flow",
+        &parts,
+        2,
+        CostModel::free(),
+        FaultPlan::none(),
+    )
+    .unwrap();
+    replicated.load_segments("flow", &paths).unwrap();
+
+    // Clean: every scanned segment verified all three of its chunks.
+    let (result, m) = run_wide(&plain, DegradedMode::Fail).unwrap();
+    assert_eq!(result, truth);
+    assert!(m.total_segments_scanned() > 0);
+    assert_eq!(m.total_blocks_verified(), 3 * m.total_segments_scanned());
+
+    // Damage `note` (column 2) in segment 0 of site 2's file, on disk
+    // after the load, as out-of-band damage would.
+    let victim = &paths[1];
+    let mut bytes = std::fs::read(victim).unwrap();
+    bytes[chunk_start(victim, 0, 2) + 2] ^= 0x20;
+    std::fs::write(victim, &bytes).unwrap();
+    let file = SegmentFile::open(victim).unwrap();
+    let err = file.read_columns(0, &[0, 1]).unwrap_err();
+    assert!(matches!(err, SkallaError::SegmentCorrupt(_)), "{err}");
+    assert!(
+        file.read_columns(1, &[0, 1]).is_ok(),
+        "other segments stay readable"
+    );
+
+    let err = run_wide(&plain, DegradedMode::Fail).unwrap_err();
+    assert!(
+        err.to_string().contains("corrupt") || err.to_string().contains("checksum"),
+        "untyped degradation error: {err}"
+    );
+    let (result, m) = run_wide(&replicated, DegradedMode::Failover).unwrap();
+    assert_eq!(result, truth);
+    assert!(m.checksum_failures >= 1);
+    assert!(m.failovers >= 1);
+    assert_eq!(m.parts_lost, 0);
+
+    plain.shutdown().unwrap();
+    replicated.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------- soak
 // Run explicitly; CI smokes it in release.
 
