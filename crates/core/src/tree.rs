@@ -278,34 +278,42 @@ impl MidState {
             }
             Message::ComputeBase { task, .. } => {
                 self.broadcast(ep, children, &msg)?;
-                let mut combined: Option<Relation> = None;
+                // Unioned in child order, not arrival order, so the
+                // cluster's distinct base has one row order on every run.
+                let mut frags: Vec<(NodeId, Relation)> = Vec::with_capacity(children.len());
                 let mut max_s: f64 = 0.0;
                 let mut sketches = Vec::new();
                 for _ in children {
-                    match self.recv(ep)? {
-                        Message::BaseFragment {
-                            rel,
-                            compute_s,
-                            sketch,
-                            ..
-                        } => {
+                    match self.recv_from(ep)? {
+                        (
+                            src,
+                            Message::BaseFragment {
+                                rel,
+                                compute_s,
+                                sketch,
+                                ..
+                            },
+                        ) => {
                             max_s = max_s.max(compute_s);
                             sketches.extend(sketch);
-                            match &mut combined {
-                                None => combined = Some(rel),
-                                Some(acc) => acc.union_all(rel)?,
-                            }
+                            frags.push((src, rel));
                         }
-                        other => {
+                        (_, other) => {
                             return Err(SkallaError::exec(format!(
                                 "mid-tier expected BaseFragment, got {other:?}"
                             )))
                         }
                     }
                 }
-                let rel = combined
-                    .ok_or_else(|| SkallaError::exec("mid-tier cluster is empty"))?
-                    .distinct();
+                frags.sort_by_key(|&(src, _)| src);
+                let mut frags = frags.into_iter().map(|(_, rel)| rel);
+                let mut rel = frags
+                    .next()
+                    .ok_or_else(|| SkallaError::exec("mid-tier cluster is empty"))?;
+                for r in frags {
+                    rel.union_all(r)?;
+                }
+                let rel = rel.distinct();
                 Ok(vec![Message::BaseFragment {
                     rel,
                     compute_s: max_s,
@@ -409,6 +417,11 @@ impl MidState {
     /// travels upward as an `Error` reply, where the root's own
     /// retry/degradation ladder takes over.
     fn recv(&self, ep: &Endpoint) -> Result<Message> {
+        self.recv_from(ep).map(|(_, msg)| msg)
+    }
+
+    /// [`MidState::recv`], also naming the child that sent the reply.
+    fn recv_from(&self, ep: &Endpoint) -> Result<(NodeId, Message)> {
         let deadline = Instant::now() + self.recv_budget();
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -438,7 +451,7 @@ impl MidState {
                     SkallaError::exec(m)
                 });
             }
-            return Ok(msg);
+            return Ok((env.src, msg));
         }
     }
 

@@ -1739,7 +1739,11 @@ impl<'a> QueryRun<'a> {
         });
         let mut site_times = Vec::with_capacity(requests.len());
         let mut rows_up = 0u64;
-        let mut combined: Option<Relation> = None;
+        // Fragments are kept by (site, task) and unioned in that order, not
+        // in arrival order: `distinct` keeps first occurrences, so the base
+        // row order (and with it the output row order) must not depend on
+        // which reply the network delivered first.
+        let mut frags: Vec<(NodeId, u32, Relation)> = Vec::new();
         let mut sketches: Vec<PartSketch> = Vec::new();
         let mut coord_s = 0.0;
         let mut decode_s = 0.0;
@@ -1754,25 +1758,20 @@ impl<'a> QueryRun<'a> {
             &mut decode_s,
             &mut self.metrics.checksum_failures,
             fo_round.as_mut(),
-            &mut |_src, msg| {
+            &mut |src, msg| {
                 let Message::BaseFragment {
                     rel,
                     compute_s,
                     sketch,
-                    ..
+                    task,
                 } = msg
                 else {
                     return Err(SkallaError::exec("expected BaseFragment"));
                 };
-                let t = Instant::now();
                 site_times.push(compute_s);
                 rows_up += rel.len() as u64;
                 sketches.extend(sketch);
-                match &mut combined {
-                    None => combined = Some(rel),
-                    Some(acc) => acc.union_all(rel)?,
-                }
-                coord_s += t.elapsed().as_secs_f64();
+                frags.push((src, task, rel));
                 Ok(())
             },
         )?;
@@ -1782,9 +1781,15 @@ impl<'a> QueryRun<'a> {
             self.absorb_sketches(&table, &sketches);
         }
         let t = Instant::now();
-        let b0 = combined
-            .ok_or_else(|| SkallaError::exec("no base fragments received"))?
-            .distinct();
+        frags.sort_by_key(|&(src, task, _)| (src, task));
+        let mut frags = frags.into_iter().map(|(_, _, rel)| rel);
+        let mut combined = frags
+            .next()
+            .ok_or_else(|| SkallaError::exec("no base fragments received"))?;
+        for rel in frags {
+            combined.union_all(rel)?;
+        }
+        let b0 = combined.distinct();
         coord_s += t.elapsed().as_secs_f64();
         let groups = b0.len();
         let mut rm = wh.round_metrics_from(
