@@ -300,3 +300,42 @@ fn partial_with_all_sites_dead_is_an_error() {
     assert!(err.contains("every site failed"), "{err}");
     wh.shutdown().unwrap();
 }
+
+#[test]
+fn base_row_order_is_independent_of_arrival_order() {
+    // The base round unions the sites' fragments in site order before
+    // `distinct` keeps first occurrences, so the answer's row order — not
+    // only its row set — is the fault-free run's, whatever order drops,
+    // duplicates and delays deliver the fragments in. Through two
+    // mid-tiers the sites' replies race each other even fault-free, so
+    // repeated tiered runs must agree on the order too. Every value is an
+    // integer, so only the order can differ.
+    let mut plan = DistPlan::unoptimized(query());
+    plan.retry = fast_retry();
+    let flat = |faults: FaultPlan| {
+        let wh = DistributedWarehouse::launch_with_faults(catalogs(280), CostModel::free(), faults)
+            .unwrap();
+        let (result, _) = wh.execute(&plan).unwrap();
+        wh.shutdown().unwrap();
+        result
+    };
+    let want = flat(FaultPlan::none());
+    assert_eq!(want.sorted(), ground_truth());
+    for faults in [
+        FaultPlan::seeded(0xD0B1E).with_dup_rate(0.4),
+        FaultPlan::seeded(0xDE1A).with_delay_rate(0.5),
+        FaultPlan::seeded(0xA11)
+            .with_drop_rate(0.15)
+            .with_dup_rate(0.2)
+            .with_delay_rate(0.3),
+    ] {
+        let ctx = format!("{faults:?}");
+        assert_eq!(flat(faults), want, "flat, {ctx}");
+    }
+    for run in 0..4 {
+        let tw = TieredWarehouse::launch(catalogs(280), 2, CostModel::free()).unwrap();
+        let (result, _) = tw.execute(&plan).unwrap();
+        tw.shutdown().unwrap();
+        assert_eq!(result, want, "tiered run {run}");
+    }
+}
