@@ -8,11 +8,12 @@
 
 use std::hash::{Hash, Hasher};
 
+use bytes::Bytes;
 use skalla_gmdj::{
     eval_gmdj_dual, eval_gmdj_dual_segments, eval_gmdj_sub, eval_gmdj_sub_segments, BaseSpec,
     EvalOptions, GmdjExpr, SegScanStats, MATCH_COUNT_COL,
 };
-use skalla_net::Endpoint;
+use skalla_net::{Endpoint, Envelope, NodeId};
 use skalla_storage::{
     partition_table_name, Catalog, DistinctRows, PartFrag, PartSketch, SegmentFile, SpaceSaving,
     Table,
@@ -43,103 +44,119 @@ pub fn run_site(endpoint: Endpoint, catalog: Catalog) {
 
 /// [`run_site`] replying to an arbitrary parent node — used by the
 /// multi-tier topology, where sites report to a mid-tier coordinator.
-pub fn run_site_with_parent(endpoint: Endpoint, catalog: Catalog, parent: skalla_net::NodeId) {
-    let mut state = SiteState {
+pub fn run_site_with_parent(endpoint: Endpoint, catalog: Catalog, parent: NodeId) {
+    let mut site = SiteState {
+        endpoint,
         catalog,
         plan: None,
         frag_cache: std::cell::RefCell::new(None),
     };
-    // One-entry reply cache keyed by `(epoch, round, task)`. The
-    // coordinator re-sends a round request when its deadline expires; a
-    // site that already served that exact round replays its reply (the
-    // original may have been lost in transit) instead of recomputing. One
-    // entry suffices: the coordinator never moves to round r+1 before
-    // round r is settled, so a duplicate can only concern the latest round
-    // served — the task id keeps a straggler-offload assignment from
-    // replaying the site's reply for a different work set in that round.
-    let mut reply_cache: Option<(u64, u32, u32, Vec<Message>)> = None;
-    loop {
-        let env = match endpoint.recv() {
-            Ok(e) => e,
-            Err(_) => return, // fabric torn down (or this site was crashed)
-        };
-        let (epoch, round, msg) = match Message::from_wire_framed(&env.payload) {
-            Ok(m) => m,
-            Err(e) => {
-                let _ = reply(
-                    &endpoint,
-                    parent,
-                    0,
-                    0,
-                    Message::Error {
-                        msg: e.to_string(),
-                        corrupt: false,
-                    },
-                );
-                continue;
-            }
-        };
-        if matches!(msg, Message::Shutdown) {
-            return;
-        }
-        // Plan installs are idempotent and produce no reply; they bypass
-        // the cache so a re-sent Plan + request pair still answers the
-        // request.
-        if let Message::Plan(p) = msg {
-            state.plan = Some(p);
-            continue;
-        }
-        let task = request_task(&msg);
-        if let Some((ce, cr, ct, cached)) = &reply_cache {
-            if *ce == epoch && *cr == round && *ct == task {
-                for resp in cached.clone() {
-                    if reply(&endpoint, parent, epoch, round, resp).is_err() {
-                        return;
-                    }
-                }
-                continue;
-            }
-        }
-        match state.handle(msg) {
-            Ok(responses) => {
-                reply_cache = Some((epoch, round, task, responses.clone()));
-                for resp in responses {
-                    if reply(&endpoint, parent, epoch, round, resp).is_err() {
-                        return;
-                    }
-                }
-            }
-            // Errors are not cached: a retried request recomputes, which
-            // also re-fails for deterministic errors but lets transient
-            // conditions clear.
-            Err(e) => {
-                if reply(
-                    &endpoint,
-                    parent,
-                    epoch,
-                    round,
-                    Message::Error {
-                        msg: e.to_string(),
-                        corrupt: e.is_corrupt(),
-                    },
-                )
-                .is_err()
-                {
-                    return;
-                }
-            }
-        }
+    serve_parent(&mut site, parent);
+}
+
+/// A node that serves one parent through [`serve_parent`]: a leaf site, or
+/// a mid-tier coordinator in front of its cluster.
+pub(crate) trait ChildNode {
+    /// The endpoint the node hears its parent on.
+    fn endpoint(&self) -> &Endpoint;
+    /// Install a plan (a mid-tier also passes it on to its cluster).
+    fn install(&mut self, plan: DistPlan, epoch: u64, round: u32);
+    /// Answer one request from the parent.
+    fn handle(&mut self, epoch: u64, round: u32, msg: Message) -> Result<Vec<Message>>;
+    /// The parent's `Shutdown` arrived; the loop exits after this.
+    fn shutdown(&self, _epoch: u64, _round: u32) {}
+    /// A parent frame that cut the last request short. It is served next,
+    /// and the cut request gets no reply: the parent has moved on.
+    fn take_superseded(&self) -> Option<Envelope> {
+        None
     }
 }
 
-fn reply(
-    endpoint: &Endpoint,
-    parent: skalla_net::NodeId,
-    epoch: u64,
-    round: u32,
-    msg: Message,
-) -> Result<()> {
-    endpoint.send(parent, msg.to_wire_framed(epoch, round))
+/// Serve `parent` until it sends `Shutdown` or the fabric goes away. Plan
+/// installs produce no reply; every other request is answered, with an
+/// [`Message::Error`] when it fails.
+pub(crate) fn serve_parent(node: &mut impl ChildNode, parent: NodeId) {
+    // One-entry reply cache keyed by `(epoch, round, task)`, holding the
+    // encoded reply frames. The parent re-sends a round request when its
+    // deadline expires; a node that already served that exact round
+    // replays its reply (the original may have been lost in transit)
+    // instead of recomputing. One entry suffices: the parent never moves
+    // to round r+1 before round r is settled, so a duplicate can only
+    // concern the latest round served — the task id keeps a
+    // straggler-offload assignment from replaying the site's reply for a
+    // different work set in that round.
+    let mut reply_cache: Option<(u64, u32, u32, Vec<Bytes>)> = None;
+    let mut next: Option<Envelope> = None;
+    loop {
+        let env = match next.take() {
+            Some(env) => env,
+            None => match node.endpoint().recv() {
+                Ok(e) => e,
+                Err(_) => return, // fabric torn down (or this node was crashed)
+            },
+        };
+        if env.src != parent {
+            continue; // a mid-tier's straggler: a child reply after its collection ended
+        }
+        let (epoch, round, msg) = match Message::from_wire_framed(&env.payload) {
+            Ok(m) => m,
+            Err(e) => {
+                let err = Message::Error {
+                    msg: e.to_string(),
+                    corrupt: false,
+                };
+                let _ = node.endpoint().send(parent, err.to_wire_framed(0, 0));
+                continue;
+            }
+        };
+        match msg {
+            Message::Shutdown => {
+                node.shutdown(epoch, round);
+                return;
+            }
+            // Plan installs are idempotent and produce no reply; they
+            // bypass the cache so a re-sent Plan + request pair still
+            // answers the request.
+            Message::Plan(p) => {
+                node.install(p, epoch, round);
+                continue;
+            }
+            _ => {}
+        }
+        let task = request_task(&msg);
+        let frames = match &reply_cache {
+            Some((ce, cr, ct, cached)) if (*ce, *cr, *ct) == (epoch, round, task) => cached.clone(),
+            _ => match node.handle(epoch, round, msg) {
+                Ok(responses) => {
+                    let frames: Vec<Bytes> = responses
+                        .iter()
+                        .map(|m| m.to_wire_framed(epoch, round))
+                        .collect();
+                    reply_cache = Some((epoch, round, task, frames.clone()));
+                    frames
+                }
+                Err(e) => match node.take_superseded() {
+                    Some(env) => {
+                        next = Some(env);
+                        continue;
+                    }
+                    // Errors are not cached: a retried request recomputes,
+                    // which also re-fails for deterministic errors but lets
+                    // transient conditions clear.
+                    None => vec![Message::Error {
+                        msg: e.to_string(),
+                        corrupt: e.is_corrupt(),
+                    }
+                    .to_wire_framed(epoch, round)],
+                },
+            },
+        };
+        for frame in frames {
+            if node.endpoint().send(parent, frame).is_err() {
+                return;
+            }
+        }
+    }
 }
 
 /// The work-assignment id a request carries (0 for messages that predate
@@ -168,8 +185,9 @@ enum LocalDetail {
     Seg(std::sync::Arc<SegmentFile>, Option<(usize, usize)>),
 }
 
-/// Mutable per-site state.
+/// A site: its endpoint and its mutable local state.
 struct SiteState {
+    endpoint: Endpoint,
     catalog: Catalog,
     plan: Option<DistPlan>,
     /// One-entry cache of the last materialized multi-fragment detail
@@ -180,13 +198,17 @@ struct SiteState {
     frag_cache: std::cell::RefCell<Option<FragCacheEntry>>,
 }
 
-impl SiteState {
-    fn handle(&mut self, msg: Message) -> Result<Vec<Message>> {
+impl ChildNode for SiteState {
+    fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
+    }
+
+    fn install(&mut self, plan: DistPlan, _epoch: u64, _round: u32) {
+        self.plan = Some(plan);
+    }
+
+    fn handle(&mut self, _epoch: u64, _round: u32, msg: Message) -> Result<Vec<Message>> {
         match msg {
-            Message::Plan(p) => {
-                self.plan = Some(p);
-                Ok(Vec::new())
-            }
             Message::ComputeBase { parts, task } => {
                 self.compute_base(parts.as_deref(), task).map(|m| vec![m])
             }
@@ -234,7 +256,9 @@ impl SiteState {
             ))),
         }
     }
+}
 
+impl SiteState {
     /// Verify every segment-backed catalog entry's checksums off the query
     /// path. A corrupt file is quarantined — renamed to
     /// `<path>.quarantined` and unregistered — so queries get a typed miss
@@ -400,6 +424,7 @@ impl SiteState {
         name: &str,
         parts: Option<&[PartFrag]>,
         heavy_cols: Option<&[usize]>,
+        counters: &mut SiteCounters,
     ) -> Result<Vec<PartSketch>> {
         // The replication-unaware protocol has no partition ids to report.
         let Some(fs) = parts else {
@@ -441,7 +466,7 @@ impl SiteState {
                 };
                 let ss = sketches.last_mut().expect("just pushed");
                 match (&seg, &mem) {
-                    (Some(file), _) => offer_segment_rows(file, cols, start, end, ss)?,
+                    (Some(file), _) => offer_segment_rows(file, cols, start, end, ss, counters)?,
                     (None, Some(t)) => {
                         // Columnar scan: hash only the group-key columns by
                         // index — no per-row materialization, and a
@@ -471,26 +496,40 @@ impl SiteState {
     fn compute_base(&self, parts: Option<&[PartFrag]>, task: u32) -> Result<Message> {
         let started = site_clock_s();
         let expr = self.expr()?;
-        let rel = self.local_base(expr, parts)?;
+        let mut counters = SiteCounters::default();
+        let rel = self.local_base(expr, parts, &mut counters)?;
         let heavy_cols = match &expr.base {
             BaseSpec::DistinctProject { cols } => Some(cols.clone()),
             BaseSpec::Relation(_) => None,
         };
-        let sketch = self.part_sketches(&expr.detail_name, parts, heavy_cols.as_deref())?;
+        counters.sketch = self.part_sketches(
+            &expr.detail_name,
+            parts,
+            heavy_cols.as_deref(),
+            &mut counters,
+        )?;
         Ok(Message::BaseFragment {
             rel,
             compute_s: site_clock_s() - started,
             task,
-            sketch,
+            counters,
         })
     }
 
-    fn local_base(&self, expr: &GmdjExpr, parts: Option<&[PartFrag]>) -> Result<Relation> {
+    /// The local distinct base, counting the segments it reads.
+    fn local_base(
+        &self,
+        expr: &GmdjExpr,
+        parts: Option<&[PartFrag]>,
+        counters: &mut SiteCounters,
+    ) -> Result<Relation> {
         match &expr.base {
             BaseSpec::DistinctProject { cols } => {
                 match self.detail_source(&expr.detail_name, parts)? {
                     LocalDetail::Mem(detail) => detail.distinct_project(cols),
-                    LocalDetail::Seg(file, range) => segmented_distinct_project(&file, cols, range),
+                    LocalDetail::Seg(file, range) => {
+                        segmented_distinct_project(&file, cols, range, counters)
+                    }
                 }
             }
             BaseSpec::Relation(_) => Err(SkallaError::exec(
@@ -535,10 +574,9 @@ impl SiteState {
         let h = if reduce { strip_unmatched(h)? } else { h };
         // Cardinality-only sketches (O(#parts)): the coordinator refreshes
         // its load estimates from every reply, not just base rounds.
-        let counters = SiteCounters {
-            sketch: self.part_sketches(plan.expr.detail_for_op(op_idx), parts, None)?,
-            ..SiteCounters::of_eval(&stats, &seg)
-        };
+        let mut counters = SiteCounters::of_eval(&stats, &seg);
+        counters.sketch =
+            self.part_sketches(plan.expr.detail_for_op(op_idx), parts, None, &mut counters)?;
         Ok(fragments(
             op_idx,
             h,
@@ -576,9 +614,12 @@ impl SiteState {
                 .iter()
                 .any(|r| r.site_group_reduction);
 
+        // The round's counters describe its operator scans: one visit per
+        // segment and operator. The local base's key-column reads are not
+        // counted.
         let base_rel = match base {
             Some(b) => b,
-            None => self.local_base(expr, parts)?,
+            None => self.local_base(expr, parts, &mut SiteCounters::default())?,
         };
         let n = base_rel.len();
 
@@ -628,7 +669,7 @@ impl SiteState {
             rows.push(row);
         }
         let ship = Relation::from_rows_unchecked(schema, rows);
-        counters.sketch = self.part_sketches(&expr.detail_name, parts, None)?;
+        counters.sketch = self.part_sketches(&expr.detail_name, parts, None, &mut counters)?;
         Ok(fragments(
             end,
             ship,
@@ -680,12 +721,14 @@ fn hash_group_cols(cols: &[Option<&skalla_storage::Column>], i: usize) -> u64 {
 /// overlapping the `[start, end)` global row window one at a time — trimmed
 /// to the window — and feed each to `f`. Segments arrive in global row
 /// order, so streaming consumers observe the same rows in the same order
-/// as a scan of the materialized table.
+/// as a scan of the materialized table. Each read is counted: every chunk
+/// of a read segment is CRC-checked, read or not.
 fn for_each_segment_window(
     file: &SegmentFile,
     cols: &[usize],
     start: usize,
     end: usize,
+    counters: &mut SiteCounters,
     mut f: impl FnMut(Table) -> Result<()>,
 ) -> Result<()> {
     for i in 0..file.num_segments() {
@@ -696,6 +739,8 @@ fn for_each_segment_window(
             continue;
         }
         let mut t = file.read_columns(i, cols)?;
+        counters.segments_scanned += 1;
+        counters.blocks_verified += file.schema().len() as u64;
         if (lo, hi) != (s, e) {
             t = t.row_range(lo - s, hi - s)?;
         }
@@ -714,9 +759,10 @@ fn offer_segment_rows(
     start: usize,
     end: usize,
     ss: &mut SpaceSaving,
+    counters: &mut SiteCounters,
 ) -> Result<()> {
     let (read, at) = skalla_storage::projection(cols, file.schema().len());
-    for_each_segment_window(file, &read, start, end, |t| {
+    for_each_segment_window(file, &read, start, end, counters, |t| {
         let key_cols: Vec<_> = at.iter().map(|p| p.map(|p| t.column(p))).collect();
         for i in 0..t.len() {
             ss.offer(hash_group_cols(&key_cols, i));
@@ -732,6 +778,7 @@ fn segmented_distinct_project(
     file: &SegmentFile,
     cols: &[usize],
     range: Option<(usize, usize)>,
+    counters: &mut SiteCounters,
 ) -> Result<Relation> {
     let schema = std::sync::Arc::new(file.schema().project(cols)?);
     let (start, end) = range.unwrap_or((0, file.total_rows()));
@@ -739,7 +786,7 @@ fn segmented_distinct_project(
     let (read, at) = skalla_storage::projection(cols, file.schema().len());
     let at: Vec<usize> = at.into_iter().flatten().collect();
     let mut distinct = DistinctRows::default();
-    for_each_segment_window(file, &read, start, end, |t| {
+    for_each_segment_window(file, &read, start, end, counters, |t| {
         distinct.offer(&t, &at);
         Ok(())
     })?;
@@ -883,9 +930,19 @@ mod tests {
             for range in [None, Some((37, 301)), Some((64, 128)), Some((5, 5))] {
                 let (lo, hi) = range.unwrap_or((0, table.len()));
                 let want = table.row_range(lo, hi).unwrap().distinct_project(cols);
-                let got = segmented_distinct_project(&file, cols, range).unwrap();
+                let mut counters = SiteCounters::default();
+                let got = segmented_distinct_project(&file, cols, range, &mut counters).unwrap();
                 assert_eq!(got.schema(), want.as_ref().unwrap().schema());
                 assert_eq!(got.rows(), want.unwrap().rows(), "{cols:?} {range:?}");
+                // Every segment overlapping the window is read once, and
+                // all four of its chunks are checked.
+                let reads = if lo < hi {
+                    (hi - 1) / 64 - lo / 64 + 1
+                } else {
+                    0
+                };
+                assert_eq!(counters.segments_scanned, reads as u64, "{range:?}");
+                assert_eq!(counters.blocks_verified, 4 * reads as u64, "{range:?}");
             }
         }
         for cols in [&[2, 0][..], &[3, 9], &[0, 2, 0]] {
@@ -898,7 +955,9 @@ mod tests {
                 want.offer(hash_group_cols(&key_cols, i));
             }
             let mut got = SpaceSaving::new(HEAVY_HITTER_CAP);
-            offer_segment_rows(&file, cols, 37, 301, &mut got).unwrap();
+            let mut counters = SiteCounters::default();
+            offer_segment_rows(&file, cols, 37, 301, &mut got, &mut counters).unwrap();
+            assert_eq!(counters.segments_scanned, 5);
             assert_eq!(got.top(), want.top(), "{cols:?}");
         }
         std::fs::remove_file(&path).ok();
@@ -906,7 +965,9 @@ mod tests {
 
     #[test]
     fn site_state_requires_plan() {
+        let (_net, mut eps) = skalla_net::SimNetwork::full_mesh(1, skalla_net::CostModel::free());
         let state = SiteState {
+            endpoint: eps.pop().expect("site endpoint"),
             catalog: Catalog::new(),
             plan: None,
             frag_cache: std::cell::RefCell::new(None),

@@ -3,44 +3,43 @@
 //! The paper's conclusions propose "a multi-tiered coordinator architecture
 //! or spanning-tree networks" as future research. This module implements a
 //! two-level tree: the root coordinator talks to `k` **mid-tier
-//! coordinators**, each of which fronts a cluster of sites. Mid-tiers relay
-//! requests downward and — crucially — *pre-synchronize* their cluster's
-//! fragments before forwarding one merged fragment upward. Sub-aggregate
-//! state merges associatively (Theorem 1), so tiered synchronization is
-//! exact, and the root link carries one fragment per cluster instead of one
-//! per site.
+//! coordinators**, each of which fronts a cluster of sites. By Theorem 1's
+//! associativity a mid-tier is just a coordinator over its cluster whose
+//! output is one sub-aggregate fragment, and it runs as one. Towards its
+//! parent it is a site: the same serve loop (plan install, one-entry
+//! `(epoch, round, task)` reply cache, `Shutdown`). Towards its cluster it
+//! is the root: it collects every request with the root's own collection
+//! engine (per-child sequence numbers, re-requests, the retry ladder) and
+//! folds the replies with the root's sync engine into the state relation
+//! it ships upward. The root link carries one fragment per cluster instead
+//! of one per site.
+//!
+//! Deadlines nest. A mid-tier collects under the shipped [`RetryPolicy`]
+//! with every attempt window scaled down, so that all of them together
+//! take half the root's first window. A leaf still silent after them fails
+//! the cluster with an `Error` reply, and the root's ladder decides —
+//! retry, fail, or degrade by whole clusters — before its own first window
+//! ends. A newer request or a `Shutdown` from the root ends a collection
+//! in progress.
 //!
 //! Limitations (documented, not silent): coordinator-side group-reduction
 //! filters are per-*site* while the root only addresses mid-tiers, so
 //! [`TieredWarehouse::execute`] ignores `coord_filters` (dropping a
-//! reduction is always sound).
+//! reduction is always sound); and the tree has two levels.
 
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use skalla_gmdj::AggSpec;
-use skalla_net::{CostModel, Endpoint, FaultPlan, NodeId, SimNetwork};
+use skalla_net::{CostModel, Endpoint, Envelope, FaultPlan, NodeId, SimNetwork};
 use skalla_storage::Catalog;
-use skalla_types::{DataType, Relation, Result, Schema, SkallaError};
+use skalla_types::{Relation, Result, SkallaError};
 
-use crate::baseresult::BaseResult;
 use crate::message::{Message, SiteCounters};
 use crate::metrics::ExecMetrics;
-use crate::plan::{DistPlan, RetryPolicy};
-use crate::site::run_site_with_parent;
-use crate::sync::{ShardedSync, SyncOptions, SyncOutput, SyncSpec};
-use crate::warehouse::DistributedWarehouse;
-
-/// The structure a mid-tier pre-synchronizes its cluster's fragments into:
-/// serial, or the sharded pipeline when the plan carries
-/// `coord_parallelism > 1` (the same knob the root uses — every tier of the
-/// tree runs the same synchronization engine).
-enum ClusterSync {
-    Serial(BaseResult),
-    Sharded(ShardedSync),
-}
+use crate::plan::{DegradedMode, DistPlan, RetryPolicy};
+use crate::site::{run_site_with_parent, serve_parent, ChildNode};
+use crate::sync::{SyncOutput, SyncSpec};
+use crate::warehouse::{collect_schemas, union_distinct, Collector, DistributedWarehouse, Syncer};
 
 /// A two-level warehouse: root coordinator → mid-tier coordinators → sites.
 pub struct TieredWarehouse {
@@ -64,11 +63,10 @@ impl TieredWarehouse {
 
     /// [`TieredWarehouse::launch`] with deterministic fault injection
     /// threaded into every link of the tree — root↔mid-tier and
-    /// mid-tier↔site alike — so crashes inside a cluster can be exercised
-    /// reproducibly. A crashed leaf surfaces at its mid-tier as a recv
-    /// deadline (derived from the plan's retry policy) and travels upward
-    /// as an `Error` reply, which the root handles through the same
-    /// retry/degradation ladder as a flat warehouse.
+    /// mid-tier↔site alike. Every tier masks drops, duplicates and delays
+    /// with the same retry machinery; a leaf lost for good fails its
+    /// cluster, which the root handles through the same
+    /// retry/degradation ladder as a lost site of a flat warehouse.
     pub fn launch_with_faults(
         catalogs: Vec<Catalog>,
         fanout: usize,
@@ -83,57 +81,30 @@ impl TieredWarehouse {
             return Err(SkallaError::plan("fanout must be positive"));
         }
         let k = n.div_ceil(fanout);
-
-        let mut schemas: HashMap<String, Arc<Schema>> = HashMap::new();
-        for c in &catalogs {
-            for name in c.table_names() {
-                let t = c.get(name)?;
-                schemas
-                    .entry(name.to_string())
-                    .or_insert_with(|| t.schema().clone());
-            }
-        }
+        let schemas = collect_schemas(&catalogs)?;
 
         let (net, mut endpoints) = SimNetwork::full_mesh_with_faults(1 + k + n, cost, faults);
-        let mut site_endpoints: Vec<Endpoint> = endpoints.drain(1 + k..).collect();
-        let mut mid_endpoints: Vec<Endpoint> = endpoints.drain(1..).collect();
+        let site_endpoints = endpoints.split_off(1 + k);
+        let mid_endpoints = endpoints.split_off(1);
         let coord = endpoints.pop().expect("root endpoint");
 
-        let mut handles = Vec::with_capacity(k + n);
-
         // Sites report to their mid-tier parent.
+        let mut handles = Vec::with_capacity(k + n);
         let mut children_of: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        for (i, catalog) in catalogs.into_iter().enumerate() {
-            let site_id = (1 + k + i) as NodeId;
+        for (i, (ep, catalog)) in site_endpoints.into_iter().zip(catalogs).enumerate() {
             let mid = i / fanout;
-            children_of[mid].push(site_id);
+            children_of[mid].push(ep.id());
             let parent = (1 + mid) as NodeId;
-            let ep = site_endpoints.remove(0);
-            debug_assert_eq!(ep.id(), site_id);
             handles.push(std::thread::spawn(move || {
                 run_site_with_parent(ep, catalog, parent)
             }));
         }
-
-        // Mid-tiers relay between the root and their cluster.
-        for (mid, children) in children_of.into_iter().enumerate() {
-            let ep = mid_endpoints.remove(0);
-            debug_assert_eq!(ep.id(), (1 + mid) as NodeId);
+        for (ep, children) in mid_endpoints.into_iter().zip(children_of) {
             handles.push(std::thread::spawn(move || run_midtier(ep, children)));
         }
 
-        let root = DistributedWarehouse {
-            net,
-            coord,
-            handles,
-            num_sites: k, // the root's children are the mid-tiers
-            schemas,
-            epoch: std::sync::atomic::AtomicU64::new(0),
-            replicas: None,
-            skew_loads: parking_lot::Mutex::new(HashMap::new()),
-        };
         Ok(TieredWarehouse {
-            root,
+            root: DistributedWarehouse::with_root(net, coord, k, handles, schemas),
             num_mid: k,
             num_leaf_sites: n,
         })
@@ -180,410 +151,262 @@ impl TieredWarehouse {
     }
 }
 
-/// The mid-tier relay loop.
+/// The mid-tier loop: serve the root (node 0) as a site would, collecting
+/// each request from the cluster `children`.
 fn run_midtier(endpoint: Endpoint, children: Vec<NodeId>) {
-    let mut state = MidState {
-        plan: None,
-        epoch: 0,
-        round: 0,
-        shutdown_pending: Cell::new(false),
+    let link = Collector::new(endpoint, children, Some(0));
+    serve_parent(&mut MidTier { link, plan: None }, 0);
+}
+
+/// The policy a mid-tier collects its cluster under: the shipped policy's
+/// retries and backoff, with every attempt window scaled so that all of
+/// them together take half the parent's first window. It never degrades:
+/// a leaf lost after the retries fails the cluster, and the parent's
+/// ladder decides.
+fn cluster_policy(parent: &RetryPolicy) -> RetryPolicy {
+    let total: f64 = (0..=parent.max_retries)
+        .map(|a| parent.deadline_for_attempt(a).as_secs_f64())
+        .sum();
+    let scale = if total > 0.0 {
+        parent.deadline.as_secs_f64() / (2.0 * total)
+    } else {
+        0.0
     };
-    loop {
-        let env = match endpoint.recv() {
-            Ok(e) => e,
-            Err(_) => return,
-        };
-        // Only root messages drive the relay; child replies are collected
-        // synchronously inside each handler. A reply that arrives here is a
-        // straggler from a timed-out collection (e.g. a live leaf answering
-        // after a crashed sibling exhausted the recv budget) — drop it.
-        if env.src != 0 {
-            continue;
-        }
-        let (epoch, round, msg) = match Message::from_wire_framed(&env.payload) {
-            Ok(m) => m,
-            Err(e) => {
-                let _ = endpoint.send(
-                    0,
-                    Message::Error {
-                        msg: e.to_string(),
-                        corrupt: false,
-                    }
-                    .to_wire_framed(0, 0),
-                );
-                continue;
-            }
-        };
-        let shutdown = matches!(msg, Message::Shutdown);
-        state.epoch = epoch;
-        state.round = round;
-        match state.handle(&endpoint, &children, msg) {
-            Ok(responses) => {
-                for resp in responses {
-                    if endpoint.send(0, resp.to_wire_framed(epoch, round)).is_err() {
-                        return;
-                    }
-                }
-            }
-            Err(e) => {
-                let _ = endpoint.send(
-                    0,
-                    Message::Error {
-                        msg: e.to_string(),
-                        corrupt: e.is_corrupt(),
-                    }
-                    .to_wire_framed(epoch, round),
-                );
-            }
-        }
-        if shutdown {
-            return;
-        }
-        if state.shutdown_pending.get() {
-            let _ = state.handle(&endpoint, &children, Message::Shutdown);
-            return;
-        }
+    RetryPolicy {
+        deadline: parent.deadline.mul_f64(scale),
+        degraded: DegradedMode::Fail,
+        ..*parent
     }
 }
 
-struct MidState {
-    plan: Option<DistPlan>,
-    /// Epoch of the request currently being relayed (stamped on downward
-    /// forwards, used to filter child replies).
-    epoch: u64,
-    /// Round number of the request currently being relayed (echoed by the
-    /// children and back to the root).
-    round: u32,
-    /// Set when the root's `Shutdown` arrives while a child collection is
-    /// still waiting (the root gave up on the query). The collection
-    /// stops and the relay loop passes the shutdown on; dropping it would
-    /// leave this mid-tier and its leaves blocked in `recv` and the
-    /// root's `shutdown` join hung.
-    shutdown_pending: Cell<bool>,
+/// A mid-tier coordinator: its link to the cluster, and the installed plan.
+struct MidTier {
+    link: Collector,
+    /// The installed plan, kept as the `Plan` message re-sent to a child
+    /// with each retried request.
+    plan: Option<Message>,
 }
 
-impl MidState {
-    fn handle(&mut self, ep: &Endpoint, children: &[NodeId], msg: Message) -> Result<Vec<Message>> {
-        match &msg {
-            Message::Plan(p) => {
-                self.broadcast(ep, children, &msg)?;
-                self.plan = Some(p.clone());
-                Ok(Vec::new())
-            }
-            Message::Shutdown => {
-                for &c in children {
-                    let _ = ep.send(c, Message::Shutdown.to_wire_framed(self.epoch, self.round));
-                }
-                Ok(Vec::new())
-            }
-            Message::ComputeBase { task, .. } => {
-                self.broadcast(ep, children, &msg)?;
-                // Unioned in child order, not arrival order, so the
-                // cluster's distinct base has one row order on every run.
-                let mut frags: Vec<(NodeId, Relation)> = Vec::with_capacity(children.len());
-                let mut max_s: f64 = 0.0;
-                let mut sketches = Vec::new();
-                for _ in children {
-                    match self.recv_from(ep)? {
-                        (
-                            src,
-                            Message::BaseFragment {
-                                rel,
-                                compute_s,
-                                sketch,
-                                ..
-                            },
-                        ) => {
-                            max_s = max_s.max(compute_s);
-                            sketches.extend(sketch);
-                            frags.push((src, rel));
-                        }
-                        (_, other) => {
-                            return Err(SkallaError::exec(format!(
-                                "mid-tier expected BaseFragment, got {other:?}"
-                            )))
-                        }
-                    }
-                }
-                frags.sort_by_key(|&(src, _)| src);
-                let mut frags = frags.into_iter().map(|(_, rel)| rel);
-                let mut rel = frags
-                    .next()
-                    .ok_or_else(|| SkallaError::exec("mid-tier cluster is empty"))?;
-                for r in frags {
-                    rel.union_all(r)?;
-                }
-                let rel = rel.distinct();
-                Ok(vec![Message::BaseFragment {
-                    rel,
-                    compute_s: max_s,
-                    task: *task,
-                    sketch: sketches,
-                }])
-            }
-            Message::Round { op_idx, task, .. } => {
-                self.relay_segment(ep, children, &msg, *op_idx, *op_idx, *task)
-            }
-            Message::LocalRun {
-                start, end, task, ..
-            } => self.relay_segment(ep, children, &msg, *start, *end, *task),
-            Message::ScrubRequest => {
-                // Fan the scrub out and concatenate the cluster's reports:
-                // the root sees one flat entry list per mid-tier, exactly
-                // as if the leaves were its direct children.
-                self.broadcast(ep, children, &msg)?;
-                let mut entries = Vec::new();
-                for _ in children {
-                    match self.recv(ep)? {
-                        Message::ScrubReport { entries: e } => entries.extend(e),
-                        other => {
-                            return Err(SkallaError::exec(format!(
-                                "mid-tier expected ScrubReport, got {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(vec![Message::ScrubReport { entries }])
-            }
-            Message::ShipAllRequest { .. } => {
-                self.broadcast(ep, children, &msg)?;
-                let mut combined: Option<Relation> = None;
-                let mut total_s = 0.0;
-                for _ in children {
-                    match self.recv(ep)? {
-                        Message::ShipAllData { rel, compute_s } => {
-                            total_s += compute_s;
-                            match &mut combined {
-                                None => combined = Some(rel),
-                                Some(acc) => acc.union_all(rel)?,
-                            }
-                        }
-                        other => {
-                            return Err(SkallaError::exec(format!(
-                                "mid-tier expected ShipAllData, got {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(vec![Message::ShipAllData {
-                    rel: combined.ok_or_else(|| SkallaError::exec("mid-tier cluster is empty"))?,
-                    compute_s: total_s,
-                }])
-            }
-            other => Err(SkallaError::exec(format!(
-                "mid-tier received unexpected message {other:?}"
-            ))),
+impl MidTier {
+    fn plan(&self) -> Result<&DistPlan> {
+        match &self.plan {
+            Some(Message::Plan(p)) => Ok(p),
+            _ => Err(SkallaError::exec("no plan installed at mid-tier")),
         }
     }
 
-    /// Forward a request to every child of the cluster, encoded once.
-    fn broadcast(&self, ep: &Endpoint, children: &[NodeId], msg: &Message) -> Result<()> {
-        let wire = msg.to_wire_framed(self.epoch, self.round);
-        for &c in children {
-            ep.send(c, wire.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Relay a round (`start == end`) or local-run request over
-    /// operators `start..=end` to the cluster, and answer with the
-    /// cluster's pre-synchronized fragment.
-    fn relay_segment(
+    /// Collect `req` from every child with the root's engine under the
+    /// cluster policy, handing each accepted reply to `sink`.
+    fn collect(
         &self,
-        ep: &Endpoint,
-        children: &[NodeId],
+        epoch: u64,
+        round: u32,
         req: &Message,
-        start: u32,
-        end: u32,
+        sink: &mut dyn FnMut(NodeId, Message) -> Result<()>,
+    ) -> Result<()> {
+        // The root runs a query's rounds under the plan's policy and every
+        // other exchange (ship-all, scrub) under the default one.
+        let default = RetryPolicy::default();
+        let shipped = match (req, self.plan()) {
+            (Message::ShipAllRequest { .. } | Message::ScrubRequest, _) | (_, Err(_)) => &default,
+            (_, Ok(p)) => &p.retry,
+        };
+        let retry = cluster_policy(shipped);
+        let requests = self
+            .link
+            .children
+            .iter()
+            .map(|&c| (c, req.clone()))
+            .collect();
+        self.link
+            .collect_all(epoch, round, &retry, self.plan.as_ref(), requests, sink)
+    }
+
+    /// Pre-synchronize the cluster's fragments for operators
+    /// `start..=end` into the one fragment a site would have sent for the
+    /// whole cluster: base columns, then raw states.
+    fn presync(
+        &self,
+        epoch: u64,
+        round: u32,
+        req: &Message,
+        (start, end): (u32, u32),
         task: u32,
-    ) -> Result<Vec<Message>> {
-        let specs = self.segment_specs(start as usize, end as usize)?;
-        self.broadcast(ep, children, req)?;
-        let (rel, compute_s, counters) = self.merge_cluster(ep, children.len(), specs)?;
-        Ok(vec![Message::Fragment {
+    ) -> Result<Message> {
+        let plan = self.plan()?;
+        let ops = plan
+            .expr
+            .ops
+            .get(start as usize..=end as usize)
+            .ok_or_else(|| SkallaError::exec("segment out of range at mid-tier"))?;
+        let specs: Vec<AggSpec> = ops.iter().flat_map(|op| op.all_aggs().cloned()).collect();
+        let state_width: usize = specs.iter().map(AggSpec::state_width).sum();
+        let mut sync: Option<Syncer> = None;
+        let mut compute_s: f64 = 0.0;
+        let mut counters = SiteCounters::default();
+        self.collect(epoch, round, req, &mut |_, reply| {
+            let Message::Fragment {
+                rel,
+                compute_s: s,
+                last,
+                counters: c,
+                ..
+            } = reply
+            else {
+                return Err(unexpected(&reply));
+            };
+            counters += c;
+            if last {
+                compute_s = compute_s.max(s);
+            }
+            if sync.is_none() {
+                // Shaped from the first fragment (a mid-tier holds no
+                // table schemas): base columns, then the declared state
+                // types.
+                let schema = rel.schema();
+                let base_width = schema
+                    .len()
+                    .checked_sub(state_width)
+                    .ok_or_else(|| SkallaError::exec("fragment narrower than aggregate state"))?;
+                let base_cols: Vec<usize> = (0..base_width).collect();
+                let spec = SyncSpec {
+                    base_schema: Arc::new(schema.project(&base_cols)?),
+                    key_cols: plan.expr.key.clone(),
+                    specs: specs.clone(),
+                    state_types: schema.fields()[base_width..]
+                        .iter()
+                        .map(|f| f.dtype)
+                        .collect(),
+                    output: SyncOutput::State,
+                    allow_new: true,
+                };
+                sync = Some(Syncer::new(plan, spec, None)?);
+            }
+            sync.as_mut().expect("built above").merge(rel)
+        })?;
+        let sync =
+            sync.ok_or_else(|| SkallaError::exec("mid-tier cluster produced no fragments"))?;
+        Ok(Message::Fragment {
             op: end,
             seq: 0,
-            rel,
+            rel: sync.finish()?.0,
             compute_s,
             last: true,
             task,
             counters,
-        }])
+        })
+    }
+}
+
+fn unexpected(reply: &Message) -> SkallaError {
+    SkallaError::exec(format!("mid-tier got an unexpected reply {reply:?}"))
+}
+
+impl ChildNode for MidTier {
+    fn endpoint(&self) -> &Endpoint {
+        &self.link.ep
     }
 
-    /// Collect one child reply, bounded by the plan's full retry budget
-    /// (the sum of every attempt window). A crashed or silent child turns
-    /// into an error instead of hanging the mid-tier forever; the error
-    /// travels upward as an `Error` reply, where the root's own
-    /// retry/degradation ladder takes over.
-    fn recv(&self, ep: &Endpoint) -> Result<Message> {
-        self.recv_from(ep).map(|(_, msg)| msg)
-    }
-
-    /// [`MidState::recv`], also naming the child that sent the reply.
-    fn recv_from(&self, ep: &Endpoint) -> Result<(NodeId, Message)> {
-        let deadline = Instant::now() + self.recv_budget();
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(SkallaError::exec(
-                    "cluster child did not respond within the retry budget",
-                ));
-            }
-            let Some(env) = ep.try_recv_for(remaining)? else {
-                continue; // loop re-checks the deadline
-            };
-            let (epoch, round, msg) = Message::from_wire_framed(&env.payload)?;
-            if env.src == 0 && matches!(msg, Message::Shutdown) {
-                self.shutdown_pending.set(true);
-                return Err(SkallaError::exec("mid-tier shut down mid-collection"));
-            }
-            if epoch != self.epoch || round != self.round {
-                continue; // straggler from an aborted query or earlier round
-            }
-            if let Message::Error { msg, corrupt } = msg {
-                let m = format!("site {}: {msg}", env.src);
-                // Keep the corruption marker as the error crosses the
-                // tier: the root skips its retry budget for it.
-                return Err(if corrupt {
-                    SkallaError::corrupt(m)
-                } else {
-                    SkallaError::exec(m)
-                });
-            }
-            return Ok((env.src, msg));
+    fn install(&mut self, plan: DistPlan, epoch: u64, round: u32) {
+        let msg = Message::Plan(plan);
+        let frame = msg.to_wire_framed(epoch, round);
+        // A child this misses is re-sent the plan with its next request.
+        for &c in &self.link.children {
+            let _ = self.link.ep.send(c, frame.clone());
         }
+        self.plan = Some(msg);
     }
 
-    /// The total time this mid-tier will wait on any one child reply:
-    /// the installed plan's attempt windows summed (so the subtree never
-    /// gives up before the root would), or the default policy's budget
-    /// when no plan is installed (ship-all).
-    fn recv_budget(&self) -> Duration {
-        let default_retry = RetryPolicy::default();
-        let retry = self.plan.as_ref().map_or(&default_retry, |p| &p.retry);
-        (0..=retry.max_retries)
-            .map(|a| retry.deadline_for_attempt(a))
-            .sum()
-    }
-
-    /// Flattened aggregate specs for the segment `start..=end`.
-    fn segment_specs(&self, start: usize, end: usize) -> Result<Vec<AggSpec>> {
-        let plan = self
-            .plan
-            .as_ref()
-            .ok_or_else(|| SkallaError::exec("no plan installed at mid-tier"))?;
-        if end >= plan.expr.ops.len() || start > end {
-            return Err(SkallaError::exec("segment out of range at mid-tier"));
-        }
-        let mut specs = Vec::new();
-        for op in &plan.expr.ops[start..=end] {
-            specs.extend(op.all_aggs().cloned());
-        }
-        Ok(specs)
-    }
-
-    /// Pre-synchronize the cluster's fragments (handles row-blocked chunks)
-    /// and return the merged state relation, the slowest child time, and
-    /// the cluster's summed counters (their skew sketches relayed upward,
-    /// so the root still learns per-partition loads through the tree).
-    fn merge_cluster(
-        &self,
-        ep: &Endpoint,
-        num_children: usize,
-        specs: Vec<AggSpec>,
-    ) -> Result<(Relation, f64, SiteCounters)> {
-        let plan = self.plan.as_ref().expect("checked in segment_specs");
-        let key = plan.expr.key.clone();
-        let workers = plan.coord_parallelism;
-        let sync_shards = plan.sync_shards;
-        let state_width: usize = specs.iter().map(AggSpec::state_width).sum();
-
-        let mut x: Option<ClusterSync> = None;
-        let mut pending = num_children;
-        let mut max_s: f64 = 0.0;
-        let mut counters = SiteCounters::default();
-        while pending > 0 {
-            let (h, compute_s, last, c) = match self.recv(ep)? {
-                Message::Fragment {
-                    rel,
-                    compute_s,
-                    last,
-                    counters,
-                    ..
-                } => (rel, compute_s, last, counters),
-                other => {
-                    return Err(SkallaError::exec(format!(
-                        "mid-tier expected round result, got {other:?}"
-                    )))
-                }
-            };
-            counters += c;
-            if last {
-                max_s = max_s.max(compute_s);
-                pending -= 1;
-            }
-            let x = match &mut x {
-                Some(x) => x,
-                None => {
-                    // Lazily shape the structure from the first fragment:
-                    // its schema is base columns followed by state columns.
-                    if h.schema().len() < state_width {
-                        return Err(SkallaError::exec("fragment narrower than aggregate state"));
-                    }
-                    let base_width = h.schema().len() - state_width;
-                    let base_cols: Vec<usize> = (0..base_width).collect();
-                    let base_schema = Arc::new(h.schema().project(&base_cols)?);
-                    let sync = if workers > 1 {
-                        // Declared state types come off the fragment's
-                        // schema tail (site ship schemas carry them).
-                        let state_types: Vec<DataType> = h.schema().fields()[base_width..]
-                            .iter()
-                            .map(|f| f.dtype)
-                            .collect();
-                        ClusterSync::Sharded(ShardedSync::new(
-                            SyncSpec {
-                                base_schema,
-                                key_cols: key.clone(),
-                                specs: specs.clone(),
-                                state_types,
-                                output: SyncOutput::State,
-                                allow_new: true,
-                            },
-                            None,
-                            match sync_shards {
-                                Some(s) => SyncOptions::for_workers(workers).with_shards(s),
-                                None => SyncOptions::for_workers(workers),
-                            },
-                        )?)
-                    } else {
-                        ClusterSync::Serial(BaseResult::empty(
-                            base_schema,
-                            &key,
-                            specs.clone(),
-                            Vec::new(),
-                        ))
+    fn handle(&mut self, epoch: u64, round: u32, msg: Message) -> Result<Vec<Message>> {
+        let reply = match &msg {
+            Message::ComputeBase { task, .. } => {
+                let mut frags = Vec::with_capacity(self.link.children.len());
+                let mut compute_s: f64 = 0.0;
+                let mut counters = SiteCounters::default();
+                self.collect(epoch, round, &msg, &mut |src, reply| {
+                    let Message::BaseFragment {
+                        rel,
+                        compute_s: s,
+                        counters: c,
+                        ..
+                    } = reply
+                    else {
+                        return Err(unexpected(&reply));
                     };
-                    x = Some(sync);
-                    x.as_mut().expect("just set")
+                    compute_s = compute_s.max(s);
+                    counters += c;
+                    frags.push((src, 0, rel));
+                    Ok(())
+                })?;
+                Message::BaseFragment {
+                    rel: union_distinct(frags)?,
+                    compute_s,
+                    task: *task,
+                    counters,
                 }
-            };
-            match x {
-                ClusterSync::Serial(b) => b.merge_fragment(&h, true)?,
-                ClusterSync::Sharded(s) => s.merge_chunk(h)?,
             }
-        }
-        let merged = match x {
-            Some(ClusterSync::Serial(b)) => b.to_state_relation()?,
-            Some(ClusterSync::Sharded(s)) => s.finish()?.0,
-            None => return Err(SkallaError::exec("mid-tier cluster produced no fragments")),
+            Message::Round { op_idx, task, .. } => {
+                self.presync(epoch, round, &msg, (*op_idx, *op_idx), *task)?
+            }
+            Message::LocalRun {
+                start, end, task, ..
+            } => self.presync(epoch, round, &msg, (*start, *end), *task)?,
+            // The cluster's scrub reports, concatenated: the root sees one
+            // flat entry list per mid-tier, as if the leaves were its own.
+            Message::ScrubRequest => {
+                let mut entries = Vec::new();
+                self.collect(epoch, round, &msg, &mut |_, reply| match reply {
+                    Message::ScrubReport { entries: e } => {
+                        entries.extend(e);
+                        Ok(())
+                    }
+                    other => Err(unexpected(&other)),
+                })?;
+                Message::ScrubReport { entries }
+            }
+            Message::ShipAllRequest { .. } => {
+                let mut parts: Vec<(NodeId, Relation)> = Vec::new();
+                let mut compute_s = 0.0;
+                self.collect(epoch, round, &msg, &mut |src, reply| match reply {
+                    Message::ShipAllData { rel, compute_s: s } => {
+                        compute_s += s;
+                        parts.push((src, rel));
+                        Ok(())
+                    }
+                    other => Err(unexpected(&other)),
+                })?;
+                parts.sort_by_key(|&(src, _)| src);
+                let mut parts = parts.into_iter().map(|(_, rel)| rel);
+                let mut rel = parts
+                    .next()
+                    .ok_or_else(|| SkallaError::exec("mid-tier cluster is empty"))?;
+                for r in parts {
+                    rel.union_all(r)?;
+                }
+                Message::ShipAllData { rel, compute_s }
+            }
+            other => {
+                return Err(SkallaError::exec(format!(
+                    "mid-tier received unexpected message {other:?}"
+                )))
+            }
         };
-        Ok((merged, max_s, counters))
+        Ok(vec![reply])
+    }
+
+    fn shutdown(&self, epoch: u64, round: u32) {
+        self.link.shutdown_children(epoch, round);
+    }
+
+    fn take_superseded(&self) -> Option<Envelope> {
+        self.link.take_superseded()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     /// The root's `Shutdown` can reach a mid-tier while it is still
@@ -614,5 +437,62 @@ mod tests {
             .collect();
         assert_eq!(got, vec![req, Message::Shutdown]);
         relay.join().unwrap();
+    }
+
+    /// A newer request from the root ends a collection the root has given
+    /// up on: the mid-tier must pass it on to the leaves, not drop it as a
+    /// straggler while it waits out the stale one.
+    #[test]
+    fn newer_request_ends_a_stale_collection() {
+        let (_net, mut eps) = SimNetwork::full_mesh(3, CostModel::free());
+        let leaf = eps.pop().expect("leaf endpoint");
+        let mid = eps.pop().expect("mid-tier endpoint");
+        let root = eps.pop().expect("root endpoint");
+        let mid_tier = std::thread::spawn(move || run_midtier(mid, vec![2]));
+        let req = Message::ComputeBase {
+            parts: None,
+            task: 0,
+        };
+        let epoch_of =
+            |env: skalla_net::Envelope| Message::from_wire_framed(&env.payload).unwrap().0;
+        // The leaf never answers the epoch-1 request.
+        root.send(1, req.to_wire_framed(1, 1)).unwrap();
+        let first = leaf.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(epoch_of(first), 1);
+        root.send(1, req.to_wire_framed(2, 1)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        // Re-requests of epoch 1 may come first; epoch 2 must follow.
+        while epoch_of(leaf.recv_timeout(deadline - Instant::now()).unwrap()) != 2 {}
+        root.send_reliable(1, Message::Shutdown.to_wire_framed(2, 0))
+            .unwrap();
+        mid_tier.join().unwrap();
+    }
+
+    /// All of a mid-tier's attempt windows together take half the root's
+    /// first window, whatever the shipped policy.
+    #[test]
+    fn cluster_windows_fit_in_half_the_parent_window() {
+        let fast = RetryPolicy {
+            deadline: Duration::from_millis(250),
+            max_retries: 8,
+            backoff: 1.5,
+            degraded: DegradedMode::Partial,
+        };
+        for parent in [RetryPolicy::default(), fast] {
+            let child = cluster_policy(&parent);
+            let total: Duration = (0..=child.max_retries)
+                .map(|a| child.deadline_for_attempt(a))
+                .sum();
+            let half = parent.deadline_for_attempt(0) / 2;
+            assert!(total.abs_diff(half) < Duration::from_micros(1), "{total:?}");
+            assert_eq!(child.max_retries, parent.max_retries);
+            assert_eq!(child.degraded, DegradedMode::Fail);
+        }
+        // The default policy: a 10 s first window at the root, 150 s in
+        // all; a mid-tier collection is done within 5 s.
+        assert_eq!(
+            cluster_policy(&RetryPolicy::default()).deadline,
+            Duration::from_secs(1) / 3
+        );
     }
 }

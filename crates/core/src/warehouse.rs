@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use skalla_expr::{eval_base, Expr};
 use skalla_gmdj::{eval_expr_centralized, AggSpec, GmdjExpr};
-use skalla_net::{CostModel, Endpoint, FaultPlan, NodeId, SimNetwork, TransferStats};
+use skalla_net::{CostModel, Endpoint, Envelope, FaultPlan, NodeId, SimNetwork, TransferStats};
 use skalla_storage::{
     load_imbalance, partition_table_name, plan_splits, replicate_catalogs, write_segments, Catalog,
     PartFrag, PartSketch, Partitioning, ReplicaMap,
@@ -34,24 +34,91 @@ use crate::message::{Message, ScrubEntry, SiteCounters};
 use crate::metrics::{Coverage, ExecMetrics, RoundMetrics};
 use crate::plan::{BaseRound, DegradedMode, DistPlan, RetryPolicy, Segment};
 use crate::site::run_site;
-use crate::sync::{ShardedSync, SyncOptions, SyncOutput, SyncSpec};
+use crate::sync::{ShardedSync, SyncOptions, SyncOutput, SyncSpec, SyncStats};
 
-/// The synchronization structure a segment round merges fragments into:
-/// the serial [`BaseResult`] or the sharded pipeline, per
-/// [`DistPlan::coord_parallelism`].
-enum Syncer {
-    Serial(BaseResult),
+/// The structure a segment's fragments are synchronized into, at the root
+/// and at every mid-tier: the serial [`BaseResult`] or the sharded
+/// pipeline, per [`DistPlan::coord_parallelism`].
+pub(crate) enum Syncer {
+    Serial {
+        x: BaseResult,
+        allow_new: bool,
+        /// Render raw states ([`SyncOutput::State`]) instead of finalized
+        /// outputs.
+        state: bool,
+    },
     Sharded(ShardedSync),
 }
 
-/// The sync pipeline knobs a plan implies: `coord_parallelism` workers
-/// with the default shard fan-out unless the plan pins a shard count.
-fn sync_options_for(plan: &DistPlan) -> SyncOptions {
-    let opts = SyncOptions::for_workers(plan.coord_parallelism);
-    match plan.sync_shards {
-        Some(s) => opts.with_shards(s),
-        None => opts,
+impl Syncer {
+    /// Build the engine `plan` asks for, seeded with the synchronized base
+    /// (or empty when `seed` is `None`). The only place that picks between
+    /// the serial and the sharded engine.
+    pub(crate) fn new(plan: &DistPlan, spec: SyncSpec, seed: Option<&Relation>) -> Result<Syncer> {
+        if plan.coord_parallelism > 1 {
+            let opts = SyncOptions::for_workers(plan.coord_parallelism);
+            let opts = match plan.sync_shards {
+                Some(s) => opts.with_shards(s),
+                None => opts,
+            };
+            return Ok(Syncer::Sharded(ShardedSync::new(spec, seed, opts)?));
+        }
+        let (fields, state) = match spec.output {
+            SyncOutput::Finalized(fields) => (fields, false),
+            SyncOutput::State => (Vec::new(), true),
+        };
+        let x = match seed {
+            Some(base) => BaseResult::from_base(base, &spec.key_cols, spec.specs, fields)?,
+            None => BaseResult::empty(spec.base_schema, &spec.key_cols, spec.specs, fields),
+        };
+        Ok(Syncer::Serial {
+            x,
+            allow_new: spec.allow_new,
+            state,
+        })
     }
+
+    /// Fold one fragment chunk in (Theorem 1).
+    pub(crate) fn merge(&mut self, h: Relation) -> Result<()> {
+        match self {
+            Syncer::Serial { x, allow_new, .. } => x.merge_fragment(&h, *allow_new),
+            Syncer::Sharded(s) => s.merge_chunk(h),
+        }
+    }
+
+    /// The synchronized relation, plus the pipeline's stats when sharded.
+    pub(crate) fn finish(self) -> Result<(Relation, Option<SyncStats>)> {
+        match self {
+            Syncer::Serial { x, state: true, .. } => Ok((x.to_state_relation()?, None)),
+            Syncer::Serial { x, .. } => Ok((x.finalize()?, None)),
+            Syncer::Sharded(s) => s.finish().map(|(rel, stats)| (rel, Some(stats))),
+        }
+    }
+}
+
+/// Each table's schema across the sites' catalogs: the global metadata
+/// every root coordinator keeps. Segment-backed names are read from footer
+/// metadata, so launch never materializes an out-of-core table; a table
+/// whose schema differs between sites is an error.
+pub(crate) fn collect_schemas(catalogs: &[Catalog]) -> Result<HashMap<String, Arc<Schema>>> {
+    let mut schemas: HashMap<String, Arc<Schema>> = HashMap::new();
+    for c in catalogs {
+        for name in c.table_names() {
+            let s = c.schema_of(name)?;
+            match schemas.get(name) {
+                None => {
+                    schemas.insert(name.to_string(), s);
+                }
+                Some(existing) if **existing == *s => {}
+                Some(_) => {
+                    return Err(SkallaError::schema(format!(
+                        "table `{name}` has differing schemas across sites"
+                    )))
+                }
+            }
+        }
+    }
+    Ok(schemas)
 }
 
 /// Rows per segment when a scrub repair rewrites a partition to a fresh
@@ -98,9 +165,10 @@ impl ScrubSummary {
 /// coordinator handle.
 pub struct DistributedWarehouse {
     pub(crate) net: SimNetwork,
-    pub(crate) coord: Endpoint,
+    /// The coordinator's endpoint and its children: the sites, or the
+    /// mid-tiers of a [`TieredWarehouse`](crate::TieredWarehouse).
+    pub(crate) link: Collector,
     pub(crate) handles: Vec<JoinHandle<()>>,
-    pub(crate) num_sites: usize,
     pub(crate) schemas: HashMap<String, Arc<Schema>>,
     /// Query epoch: stamped on every request, echoed by sites; replies
     /// from an aborted earlier query are recognized and dropped. A
@@ -134,50 +202,41 @@ impl DistributedWarehouse {
         cost: CostModel,
         faults: FaultPlan,
     ) -> Result<DistributedWarehouse> {
-        let n = catalogs.len();
-        if n == 0 {
+        if catalogs.is_empty() {
             return Err(SkallaError::plan("warehouse needs at least one site"));
         }
-        let mut schemas: HashMap<String, Arc<Schema>> = HashMap::new();
-        for c in &catalogs {
-            for name in c.table_names() {
-                // schema_of reads footer metadata for segment-backed
-                // names — launch never materializes out-of-core tables.
-                let s = c.schema_of(name)?;
-                match schemas.get(name) {
-                    None => {
-                        schemas.insert(name.to_string(), s);
-                    }
-                    Some(existing) if **existing == *s => {}
-                    Some(_) => {
-                        return Err(SkallaError::schema(format!(
-                            "table `{name}` has differing schemas across sites"
-                        )))
-                    }
-                }
-            }
-        }
-
+        let schemas = collect_schemas(&catalogs)?;
+        let n = catalogs.len();
         let (net, mut endpoints) = SimNetwork::full_mesh_with_faults(n + 1, cost, faults);
         // endpoints[0] is the coordinator; 1..=n are the sites.
-        let mut handles = Vec::with_capacity(n);
-        // Drain from the back so indices stay valid.
-        let mut site_endpoints: Vec<Endpoint> = endpoints.drain(1..).collect();
+        let handles = endpoints
+            .drain(1..)
+            .zip(catalogs)
+            .map(|(ep, catalog)| std::thread::spawn(move || run_site(ep, catalog)))
+            .collect();
         let coord = endpoints.pop().expect("coordinator endpoint");
-        for catalog in catalogs.into_iter().rev() {
-            let ep = site_endpoints.pop().expect("site endpoint");
-            handles.push(std::thread::spawn(move || run_site(ep, catalog)));
-        }
-        Ok(DistributedWarehouse {
+        Ok(Self::with_root(net, coord, n, handles, schemas))
+    }
+
+    /// The root coordinator on `coord` (node 0) over children `1..=children`
+    /// — sites, or the mid-tiers of a tree — with `handles` the threads it
+    /// joins at shutdown.
+    pub(crate) fn with_root(
+        net: SimNetwork,
+        coord: Endpoint,
+        children: usize,
+        handles: Vec<JoinHandle<()>>,
+        schemas: HashMap<String, Arc<Schema>>,
+    ) -> DistributedWarehouse {
+        DistributedWarehouse {
             net,
-            coord,
+            link: Collector::new(coord, (1..=children as NodeId).collect(), None),
             handles,
-            num_sites: n,
             schemas,
             epoch: AtomicU64::new(0),
             replicas: None,
             skew_loads: Mutex::new(HashMap::new()),
-        })
+        }
     }
 
     /// Launch a warehouse where `table`'s partitions are `replication`-way
@@ -208,7 +267,7 @@ impl DistributedWarehouse {
 
     /// Number of sites.
     pub fn num_sites(&self) -> usize {
-        self.num_sites
+        self.link.children.len()
     }
 
     /// The simulated network (for stats inspection).
@@ -238,10 +297,79 @@ impl DistributedWarehouse {
     ) -> Result<()> {
         let frame = msg.to_wire_framed(epoch, round);
         if reliable {
-            self.coord.send_reliable(site, frame)
+            self.link.ep.send_reliable(site, frame)
         } else {
-            self.coord.send(site, frame)
+            self.link.ep.send(site, frame)
         }
+    }
+}
+
+/// One coordinator's side of its links: the endpoint it sends requests and
+/// collects replies on, and its children's node ids. The root (over sites
+/// or mid-tiers) and every mid-tier (over its cluster) run the same
+/// collection engine, [`Collector::collect_round`], through it.
+pub(crate) struct Collector {
+    pub(crate) ep: Endpoint,
+    pub(crate) children: Vec<NodeId>,
+    /// A mid-tier's parent (`None` at the root). A frame from it for a
+    /// newer `(epoch, round)`, or a `Shutdown`, ends the collection in
+    /// progress and is parked in `superseded` for the mid-tier to serve
+    /// next; other parent frames are duplicates or stragglers.
+    parent: Option<NodeId>,
+    superseded: Mutex<Option<Envelope>>,
+}
+
+impl Collector {
+    pub(crate) fn new(ep: Endpoint, children: Vec<NodeId>, parent: Option<NodeId>) -> Collector {
+        Collector {
+            ep,
+            children,
+            parent,
+            superseded: Mutex::new(None),
+        }
+    }
+
+    /// [`Collector::collect_round`] for an exchange that needs every
+    /// child's reply and keeps no ledger: no failover, and `retry` (a
+    /// `Fail` policy) bounds how long a silent child may hold it.
+    pub(crate) fn collect_all(
+        &self,
+        epoch: u64,
+        round: u32,
+        retry: &RetryPolicy,
+        resend_plan: Option<&Message>,
+        requests: Vec<(NodeId, Message)>,
+        sink: &mut dyn FnMut(NodeId, Message) -> Result<()>,
+    ) -> Result<()> {
+        self.collect_round(
+            epoch,
+            round,
+            retry,
+            resend_plan,
+            requests,
+            &mut HashSet::new(),
+            &mut BTreeMap::new(),
+            &mut 0.0,
+            &mut 0,
+            None,
+            sink,
+        )?;
+        Ok(())
+    }
+
+    /// Pass `Shutdown` to every child, reliably. A child whose channel is
+    /// already gone has nothing left to shut down.
+    pub(crate) fn shutdown_children(&self, epoch: u64, round: u32) {
+        for &c in &self.children {
+            let _ = self
+                .ep
+                .send_reliable(c, Message::Shutdown.to_wire_framed(epoch, round));
+        }
+    }
+
+    /// The parent frame that ended the last collection early, if any.
+    pub(crate) fn take_superseded(&self) -> Option<Envelope> {
+        self.superseded.lock().take()
     }
 
     /// Send one round's requests and collect every reply, enforcing the
@@ -278,7 +406,7 @@ impl DistributedWarehouse {
     /// The returned epoch is the (possibly failover-bumped) epoch the
     /// round finished under, which the caller must adopt.
     #[allow(clippy::too_many_arguments)]
-    fn collect_round(
+    pub(crate) fn collect_round(
         &self,
         epoch: u64,
         round: u32,
@@ -310,7 +438,7 @@ impl DistributedWarehouse {
         for (site, req) in &st.reqs {
             *attempts.entry(*site).or_default() += 1;
             if self
-                .coord
+                .ep
                 .send(*site, req.to_wire_framed(st.epoch, round))
                 .is_err()
             {
@@ -343,7 +471,7 @@ impl DistributedWarehouse {
                 } else {
                     remaining
                 };
-                let env = match self.coord.try_recv_for(wait) {
+                let env = match self.ep.try_recv_for(wait) {
                     Ok(Some(env)) => env,
                     Ok(None) => {
                         if let (true, Some(fo)) = (offload_armed, failover.as_deref_mut()) {
@@ -379,6 +507,13 @@ impl DistributedWarehouse {
                 let Ok((e, r, msg)) = decoded else {
                     continue; // unparseable frame: treated as loss, retry recovers
                 };
+                if Some(env.src) == self.parent {
+                    if matches!(msg, Message::Shutdown) || (e, r) > (st.epoch, round) {
+                        *self.superseded.lock() = Some(env);
+                        return Err(SkallaError::exec("collection superseded by its parent"));
+                    }
+                    continue; // a duplicate of the current request, or a straggler
+                }
                 if e != st.epoch || r != round {
                     continue; // straggler from an aborted query, earlier
                               // round, or pre-failover wave
@@ -646,7 +781,7 @@ impl DistributedWarehouse {
                 continue;
             };
             if self
-                .coord
+                .ep
                 .send(helper, req.to_wire_framed(st.epoch, st.round))
                 .is_err()
             {
@@ -738,7 +873,7 @@ impl DistributedWarehouse {
                 if let Some(p) = st.prog.get_mut(&site) {
                     p.done = true;
                 }
-                if dead.len() == self.num_sites {
+                if dead.len() == self.children.len() {
                     break;
                 }
                 // Fragment-granular re-plan: only the dead site's unserved
@@ -777,11 +912,11 @@ impl DistributedWarehouse {
                     }
                 }
             }
-            if dead.len() == self.num_sites {
+            if dead.len() == self.children.len() {
                 break Err(SkallaError::exec("every site failed; no result possible"));
             }
             // Everything computed so far under the old assignment is stale.
-            st.epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+            st.epoch = fo.epochs.fetch_add(1, Ordering::Relaxed) + 1;
             // Restart every site that still owes fragments — including
             // previously-done sites that just inherited some (only the
             // inherited fragments are requested; their own are already
@@ -803,10 +938,9 @@ impl DistributedWarehouse {
                 *attempts.entry(site).or_default() += 1;
                 let send = || -> Result<()> {
                     if let Some(p) = resend_plan {
-                        self.coord
-                            .send(site, p.to_wire_framed(st.epoch, st.round))?;
+                        self.ep.send(site, p.to_wire_framed(st.epoch, st.round))?;
                     }
-                    self.coord
+                    self.ep
                         .send(site, st.reqs[&site].to_wire_framed(st.epoch, st.round))
                 };
                 if send().is_err() {
@@ -825,12 +959,10 @@ impl DistributedWarehouse {
     /// the site's round request, under the round's current epoch.
     fn resend(&self, site: NodeId, plan: Option<&Message>, st: &RoundState) -> Result<()> {
         if let Some(p) = plan {
-            self.coord
-                .send(site, p.to_wire_framed(st.epoch, st.round))?;
+            self.ep.send(site, p.to_wire_framed(st.epoch, st.round))?;
         }
         let req = st.reqs.get(&site).expect("resend target was a participant");
-        self.coord
-            .send(site, req.to_wire_framed(st.epoch, st.round))
+        self.ep.send(site, req.to_wire_framed(st.epoch, st.round))
     }
 
     /// A site is gone for good (crashed channel or exhausted budget) and
@@ -864,14 +996,16 @@ impl DistributedWarehouse {
                     p.done = true;
                 }
                 dead.insert(site);
-                if dead.len() == self.num_sites {
+                if dead.len() == self.children.len() {
                     return Err(SkallaError::exec("every site failed; no result possible"));
                 }
                 Ok(())
             }
         }
     }
+}
 
+impl DistributedWarehouse {
     #[allow(clippy::too_many_arguments)]
     fn round_metrics_from(
         &self,
@@ -973,7 +1107,7 @@ impl DistributedWarehouse {
 
         let before = self.net.stats();
         let mut catalog = Catalog::new();
-        let mut site_times: Vec<f64> = vec![0.0; self.num_sites];
+        let mut site_times: Vec<f64> = vec![0.0; self.num_sites()];
         // The baseline takes no plan, so it runs under the default retry
         // policy (fail on an unresponsive site).
         let retry = RetryPolicy::default();
@@ -984,7 +1118,7 @@ impl DistributedWarehouse {
         let mut checksum_failures = 0u64;
         for name in names {
             round_no += 1;
-            let requests: Vec<(NodeId, Message)> = (1..=self.num_sites as NodeId)
+            let requests: Vec<(NodeId, Message)> = (1..=self.num_sites() as NodeId)
                 .map(|s| {
                     (
                         s,
@@ -996,7 +1130,7 @@ impl DistributedWarehouse {
                 .collect();
             let schema = self.table_schema(name)?;
             let mut builder = skalla_storage::TableBuilder::new(schema);
-            epoch = self.collect_round(
+            epoch = self.link.collect_round(
                 epoch,
                 round_no,
                 &retry,
@@ -1034,8 +1168,8 @@ impl DistributedWarehouse {
         let mut metrics = ExecMetrics {
             cost_model: Some(self.net.cost_model()),
             coverage: Some(Coverage {
-                responded: self.num_sites - dead.len(),
-                total: self.num_sites,
+                responded: self.num_sites() - dead.len(),
+                total: self.num_sites(),
             }),
             site_attempts: attempts,
             checksum_failures,
@@ -1067,28 +1201,24 @@ impl DistributedWarehouse {
     /// this returns; callers holding a result cache must invalidate it
     /// (the serving layer's `QueryScheduler::reload_segments` does so).
     pub fn load_segments(&self, table: &str, paths: &[String]) -> Result<Vec<u64>> {
-        if paths.len() != self.num_sites {
+        if paths.len() != self.num_sites() {
             return Err(SkallaError::plan(format!(
                 "{} segment paths for {} sites",
                 paths.len(),
-                self.num_sites
+                self.num_sites()
             )));
         }
         if !self.schemas.contains_key(table) {
             return Err(SkallaError::not_found(format!("table `{table}`")));
         }
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let retry = RetryPolicy::default();
-        let mut dead: HashSet<NodeId> = HashSet::new();
-        let mut attempts: BTreeMap<NodeId, u32> = BTreeMap::new();
-        let mut decode_s = 0.0;
         // Under replicated placement site i's file holds partition i - 1;
         // naming it lets the site bind the partition alias to the same
         // file, so partition-addressed scans stream from disk too.
         let replicated = self
             .replicas
             .as_ref()
-            .is_some_and(|r| r.table == table && r.num_parts() == self.num_sites);
+            .is_some_and(|r| r.table == table && r.num_parts() == self.num_sites());
         let requests: Vec<(NodeId, Message)> = paths
             .iter()
             .enumerate()
@@ -1103,19 +1233,13 @@ impl DistributedWarehouse {
                 )
             })
             .collect();
-        let mut rows = vec![0u64; self.num_sites];
-        let mut checksum_failures = 0u64;
-        self.collect_round(
+        let mut rows = vec![0u64; self.num_sites()];
+        self.link.collect_all(
             epoch,
             0,
-            &retry,
+            &RetryPolicy::default(),
             None,
             requests,
-            &mut dead,
-            &mut attempts,
-            &mut decode_s,
-            &mut checksum_failures,
-            None,
             &mut |src, msg| {
                 let Message::SegmentsLoaded { rows: r } = msg else {
                     return Err(SkallaError::exec(format!(
@@ -1147,26 +1271,16 @@ impl DistributedWarehouse {
     /// [`ScrubSummary::failures`].
     pub fn scrub(&self) -> Result<ScrubSummary> {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let retry = RetryPolicy::default();
-        let mut dead: HashSet<NodeId> = HashSet::new();
-        let mut attempts: BTreeMap<NodeId, u32> = BTreeMap::new();
-        let mut decode_s = 0.0;
-        let mut checksum_failures = 0u64;
-        let requests: Vec<(NodeId, Message)> = (1..=self.num_sites as NodeId)
+        let requests: Vec<(NodeId, Message)> = (1..=self.num_sites() as NodeId)
             .map(|s| (s, Message::ScrubRequest))
             .collect();
         let mut reports: Vec<(NodeId, ScrubEntry)> = Vec::new();
-        self.collect_round(
+        self.link.collect_all(
             epoch,
             0,
-            &retry,
+            &RetryPolicy::default(),
             None,
             requests,
-            &mut dead,
-            &mut attempts,
-            &mut decode_s,
-            &mut checksum_failures,
-            None,
             &mut |src, msg| {
                 let Message::ScrubReport { entries } = msg else {
                     return Err(SkallaError::exec(format!(
@@ -1206,7 +1320,7 @@ impl DistributedWarehouse {
         let r = self
             .replicas
             .as_ref()
-            .filter(|r| r.table == table && r.num_parts() == self.num_sites)
+            .filter(|r| r.table == table && r.num_parts() == self.num_sites())
             .ok_or_else(|| {
                 SkallaError::exec("no replica map covers the table; replication needed for repair")
             })?;
@@ -1221,13 +1335,9 @@ impl DistributedWarehouse {
             })?;
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let retry = RetryPolicy::default();
-        let mut dead: HashSet<NodeId> = HashSet::new();
-        let mut attempts: BTreeMap<NodeId, u32> = BTreeMap::new();
-        let mut decode_s = 0.0;
-        let mut checksum_failures = 0u64;
         let schema = self.table_schema(table)?;
         let mut builder = skalla_storage::TableBuilder::new(schema);
-        self.collect_round(
+        self.link.collect_all(
             epoch,
             0,
             &retry,
@@ -1238,11 +1348,6 @@ impl DistributedWarehouse {
                     table: partition_table_name(table, part),
                 },
             )],
-            &mut dead,
-            &mut attempts,
-            &mut decode_s,
-            &mut checksum_failures,
-            None,
             &mut |_src, msg| {
                 let Message::ShipAllData { rel, .. } = msg else {
                     return Err(SkallaError::exec("expected ShipAllData"));
@@ -1257,7 +1362,7 @@ impl DistributedWarehouse {
         let path = format!("{old_path}.r{epoch}");
         write_segments(&path, &fresh, REPAIR_SEGMENT_ROWS)?;
         let mut rows_loaded = 0u64;
-        self.collect_round(
+        self.link.collect_all(
             epoch,
             1,
             &retry,
@@ -1270,11 +1375,6 @@ impl DistributedWarehouse {
                     part: Some(part as u64),
                 },
             )],
-            &mut dead,
-            &mut attempts,
-            &mut decode_s,
-            &mut checksum_failures,
-            None,
             &mut |src, msg| {
                 let Message::SegmentsLoaded { rows } = msg else {
                     return Err(SkallaError::exec(format!(
@@ -1299,12 +1399,8 @@ impl DistributedWarehouse {
     /// whose channel is already gone — e.g. crashed by fault injection —
     /// has nothing left to shut down.
     pub fn shutdown(mut self) -> Result<()> {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        for site in 1..=self.num_sites as NodeId {
-            let _ = self
-                .coord
-                .send_reliable(site, Message::Shutdown.to_wire_framed(epoch, 0));
-        }
+        self.link
+            .shutdown_children(self.epoch.load(Ordering::Relaxed), 0);
         for h in self.handles.drain(..) {
             h.join()
                 .map_err(|_| SkallaError::exec("site thread panicked"))?;
@@ -1398,7 +1494,7 @@ impl<'a> QueryRun<'a> {
         // the degradation ladder.
         let use_replicas = wh.replicas.as_ref().is_some_and(|r| {
             plan.retry.degraded == DegradedMode::Failover
-                && r.num_parts() == wh.num_sites
+                && r.num_parts() == wh.num_sites()
                 && std::iter::once(&expr.detail_name)
                     .chain(expr.ops.iter().filter_map(|op| op.detail_name.as_ref()))
                     .all(|n| *n == r.table)
@@ -1428,7 +1524,7 @@ impl<'a> QueryRun<'a> {
         }
         let plan_msg = Message::Plan(site_plan);
         let mut dead: HashSet<NodeId> = HashSet::new();
-        for site in 1..=wh.num_sites as NodeId {
+        for site in 1..=wh.num_sites() as NodeId {
             if wh
                 .send_framed(site, &plan_msg, epoch, 0, reliable_plan)
                 .is_err()
@@ -1441,7 +1537,7 @@ impl<'a> QueryRun<'a> {
                     }
                     DegradedMode::Partial | DegradedMode::Failover => {
                         dead.insert(site);
-                        if dead.len() == wh.num_sites {
+                        if dead.len() == wh.num_sites() {
                             return Err(SkallaError::exec("every site failed; no result possible"));
                         }
                     }
@@ -1560,7 +1656,7 @@ impl<'a> QueryRun<'a> {
             .iter()
             .map(|a| a.map(|h| h as usize - 1))
             .collect();
-        let alive: Vec<bool> = (0..self.wh.num_sites)
+        let alive: Vec<bool> = (0..self.wh.num_sites())
             .map(|s| !self.dead.contains(&((s + 1) as NodeId)))
             .collect();
         match plan_splits(
@@ -1643,7 +1739,7 @@ impl<'a> QueryRun<'a> {
         if self.plan_installed {
             return;
         }
-        for site in 1..=self.wh.num_sites as NodeId {
+        for site in 1..=self.wh.num_sites() as NodeId {
             if self.dead.contains(&site) {
                 continue;
             }
@@ -1708,7 +1804,7 @@ impl<'a> QueryRun<'a> {
                     })
                     .collect()
             }
-            None => (1..=wh.num_sites as NodeId)
+            None => (1..=wh.num_sites() as NodeId)
                 .filter(|s| !self.dead.contains(s))
                 .map(|s| {
                     (
@@ -1732,6 +1828,7 @@ impl<'a> QueryRun<'a> {
             assignment: &mut self.assignment,
             site_parts,
             mk_request: &mk_base,
+            epochs: &wh.epoch,
             events: &mut self.events,
             offload_factor: skew.offload.then_some(skew.offload_factor),
             next_task: 1,
@@ -1739,15 +1836,10 @@ impl<'a> QueryRun<'a> {
         });
         let mut site_times = Vec::with_capacity(requests.len());
         let mut rows_up = 0u64;
-        // Fragments are kept by (site, task) and unioned in that order, not
-        // in arrival order: `distinct` keeps first occurrences, so the base
-        // row order (and with it the output row order) must not depend on
-        // which reply the network delivered first.
         let mut frags: Vec<(NodeId, u32, Relation)> = Vec::new();
-        let mut sketches: Vec<PartSketch> = Vec::new();
-        let mut coord_s = 0.0;
+        let mut counters = SiteCounters::default();
         let mut decode_s = 0.0;
-        self.epoch = wh.collect_round(
+        self.epoch = wh.link.collect_round(
             self.epoch,
             round_no,
             &self.plan.retry,
@@ -1762,15 +1854,15 @@ impl<'a> QueryRun<'a> {
                 let Message::BaseFragment {
                     rel,
                     compute_s,
-                    sketch,
                     task,
+                    counters: c,
                 } = msg
                 else {
                     return Err(SkallaError::exec("expected BaseFragment"));
                 };
                 site_times.push(compute_s);
                 rows_up += rel.len() as u64;
-                sketches.extend(sketch);
+                counters += c;
                 frags.push((src, task, rel));
                 Ok(())
             },
@@ -1778,19 +1870,11 @@ impl<'a> QueryRun<'a> {
         drop(fo_round);
         if let Some(r) = replicas {
             let table = r.table.clone();
-            self.absorb_sketches(&table, &sketches);
+            self.absorb_sketches(&table, &counters.sketch);
         }
         let t = Instant::now();
-        frags.sort_by_key(|&(src, task, _)| (src, task));
-        let mut frags = frags.into_iter().map(|(_, _, rel)| rel);
-        let mut combined = frags
-            .next()
-            .ok_or_else(|| SkallaError::exec("no base fragments received"))?;
-        for rel in frags {
-            combined.union_all(rel)?;
-        }
-        let b0 = combined.distinct();
-        coord_s += t.elapsed().as_secs_f64();
+        let b0 = union_distinct(frags)?;
+        let coord_s = t.elapsed().as_secs_f64();
         let groups = b0.len();
         let mut rm = wh.round_metrics_from(
             "base",
@@ -1801,6 +1885,7 @@ impl<'a> QueryRun<'a> {
             0,
             rows_up,
         );
+        rm.add_site_counters(&counters);
         rm.sync_decode_s = decode_s;
         self.metrics.rounds.push(rm);
         self.current = Some(b0);
@@ -1856,43 +1941,24 @@ impl<'a> QueryRun<'a> {
         let before = wh.net.stats();
         let t_coord = Instant::now();
 
-        let mut x = if plan.coord_parallelism > 1 {
-            let (base_schema, seed) = if local_base {
-                (Arc::new(expr.base_schema(&default_schema)?), None)
-            } else {
-                let base =
-                    current.ok_or_else(|| SkallaError::exec("segment has no base relation"))?;
-                (base.schema().clone(), Some(base))
-            };
-            Syncer::Sharded(ShardedSync::new(
-                SyncSpec {
-                    base_schema,
-                    key_cols: expr.key.clone(),
-                    specs,
-                    state_types,
-                    output: SyncOutput::Finalized(output_fields),
-                    allow_new: local_base,
-                },
-                seed,
-                sync_options_for(plan),
-            )?)
-        } else if local_base {
-            let b0_schema = Arc::new(expr.base_schema(&default_schema)?);
-            Syncer::Serial(BaseResult::empty(
-                b0_schema,
-                &expr.key,
-                specs,
-                output_fields,
-            ))
+        let (base_schema, seed) = if local_base {
+            (Arc::new(expr.base_schema(&default_schema)?), None)
         } else {
             let base = current.ok_or_else(|| SkallaError::exec("segment has no base relation"))?;
-            Syncer::Serial(BaseResult::from_base(
-                base,
-                &expr.key,
-                specs,
-                output_fields,
-            )?)
+            (base.schema().clone(), Some(base))
         };
+        let mut x = Syncer::new(
+            plan,
+            SyncSpec {
+                base_schema,
+                key_cols: expr.key.clone(),
+                specs,
+                state_types,
+                output: SyncOutput::Finalized(output_fields),
+                allow_new: local_base,
+            },
+            seed,
+        )?;
 
         // Ship requests. For a multi-operator local run, a group must
         // reach site i if it could contribute to ANY operator in the
@@ -1906,7 +1972,7 @@ impl<'a> QueryRun<'a> {
                 .map(|r| r.coord_filters.as_ref())
                 .collect();
             per_round.map(|rounds_filters| {
-                (0..wh.num_sites)
+                (0..wh.num_sites())
                     .map(|i| {
                         skalla_expr::simplify(&Expr::disjunction(
                             rounds_filters.iter().map(|fs| fs[i].clone()),
@@ -1958,7 +2024,7 @@ impl<'a> QueryRun<'a> {
                 }
             })
         };
-        let mut requests: Vec<(NodeId, Message)> = Vec::with_capacity(wh.num_sites);
+        let mut requests: Vec<(NodeId, Message)> = Vec::with_capacity(wh.num_sites());
         let mut rows_down = 0u64;
         if replicas.is_some() {
             // Failover rounds address fragments explicitly; the
@@ -1974,7 +2040,7 @@ impl<'a> QueryRun<'a> {
                 requests.push((*site, msg));
             }
         } else {
-            for site in 1..=wh.num_sites as NodeId {
+            for site in 1..=wh.num_sites() as NodeId {
                 if self.dead.contains(&site) {
                     continue;
                 }
@@ -2018,6 +2084,7 @@ impl<'a> QueryRun<'a> {
             assignment: &mut self.assignment,
             site_parts,
             mk_request: &mk_seg,
+            epochs: &wh.epoch,
             events: &mut self.events,
             offload_factor: skew.offload.then_some(skew.offload_factor),
             next_task: 1,
@@ -2036,7 +2103,7 @@ impl<'a> QueryRun<'a> {
         let mut site_times = Vec::with_capacity(requests.len());
         let mut rows_up = 0u64;
         let mut counters = SiteCounters::default();
-        self.epoch = wh.collect_round(
+        self.epoch = wh.link.collect_round(
             self.epoch,
             round_no,
             &plan.retry,
@@ -2065,14 +2132,10 @@ impl<'a> QueryRun<'a> {
                 counters += c;
                 let t = Instant::now();
                 rows_up += h.len() as u64;
-                match &mut x {
-                    // Serial: the closure time IS the merge time.
-                    Syncer::Serial(b) => b.merge_fragment(&h, local_base)?,
-                    // Sharded: the closure time is the router
-                    // (validate + partition); merging happens on the
-                    // worker pool, overlapped with receive.
-                    Syncer::Sharded(s) => s.merge_chunk(h)?,
-                }
+                // Serial: the closure time IS the merge time. Sharded: it
+                // is the router (validate + partition); merging happens
+                // on the worker pool, overlapped with receive.
+                x.merge(h)?;
                 if last {
                     site_times.push(compute_s);
                 }
@@ -2085,38 +2148,24 @@ impl<'a> QueryRun<'a> {
             self.absorb_sketches(table, &counters.sketch);
         }
         let t_final = Instant::now();
-        let (finalized, merge_s, finalize_s, workers, shards, utilization, imbalance, sync_tail_s) =
-            match x {
-                Syncer::Serial(b) => {
-                    let rel = b.finalize()?;
+        let (finalized, stats) = x.finish()?;
+        let (merge_s, finalize_s, workers, shards, utilization, imbalance, sync_tail_s) =
+            match stats {
+                None => {
                     let fin_s = t_final.elapsed().as_secs_f64();
-                    (
-                        rel,
-                        coord_sync_s,
-                        fin_s,
-                        1,
-                        1,
-                        0.0,
-                        0.0,
-                        coord_sync_s + fin_s,
-                    )
+                    (coord_sync_s, fin_s, 1, 1, 0.0, 0.0, coord_sync_s + fin_s)
                 }
-                Syncer::Sharded(s) => {
-                    let (rel, stats) = s.finish()?;
-                    (
-                        rel,
-                        stats.merge_busy_s,
-                        stats.finalize_s,
-                        stats.workers,
-                        stats.shards,
-                        stats.utilization(),
-                        stats.imbalance(),
-                        // The serialized (non-overlapped) coordinator
-                        // cost: routing plus the drain after the last
-                        // chunk.
-                        coord_sync_s + stats.drain_s,
-                    )
-                }
+                Some(stats) => (
+                    stats.merge_busy_s,
+                    stats.finalize_s,
+                    stats.workers,
+                    stats.shards,
+                    stats.utilization(),
+                    stats.imbalance(),
+                    // The serialized (non-overlapped) coordinator cost:
+                    // routing plus the drain after the last chunk.
+                    coord_sync_s + stats.drain_s,
+                ),
             };
         let groups = finalized.len();
         let mut rm = wh.round_metrics_from(
@@ -2183,8 +2232,8 @@ impl<'a> QueryRun<'a> {
                 }
             }
             None => Coverage {
-                responded: self.wh.num_sites - self.dead.len(),
-                total: self.wh.num_sites,
+                responded: self.wh.num_sites() - self.dead.len(),
+                total: self.wh.num_sites(),
             },
         });
     }
@@ -2206,12 +2255,8 @@ impl<'a> QueryRun<'a> {
 impl Drop for DistributedWarehouse {
     fn drop(&mut self) {
         // Best-effort teardown if the user forgot to call shutdown().
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        for site in 1..=self.num_sites as NodeId {
-            let _ = self
-                .coord
-                .send_reliable(site, Message::Shutdown.to_wire_framed(epoch, 0));
-        }
+        self.link
+            .shutdown_children(self.epoch.load(Ordering::Relaxed), 0);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -2277,7 +2322,7 @@ struct OffloadOffer {
 
 /// Per-round failover context handed to `collect_round` when the Failover
 /// rung is active.
-struct FailoverRound<'a> {
+pub(crate) struct FailoverRound<'a> {
     replicas: &'a ReplicaMap,
     /// Live partition→site assignment; `None` marks a partition with no
     /// surviving replica. Persists across rounds.
@@ -2290,6 +2335,9 @@ struct FailoverRound<'a> {
     /// the given task id (used when a failover re-plans the wave and when
     /// a straggler's residual work is offloaded).
     mk_request: &'a dyn Fn(&[PartFrag], u32) -> Result<Message>,
+    /// The warehouse's epoch counter: a re-plan moves the round to a
+    /// fresh epoch.
+    epochs: &'a AtomicU64,
     events: &'a mut FailoverEvents,
     /// `Some(factor)` arms mid-round straggler offload: once half the
     /// round's sites are done, a site lagging `factor ×` the median
@@ -2342,6 +2390,23 @@ fn reply_task(msg: &Message) -> u32 {
         Message::BaseFragment { task, .. } | Message::Fragment { task, .. } => *task,
         _ => 0,
     }
+}
+
+/// The base round's synchronization: the union of the children's
+/// `B₀ᵢ` fragments with duplicates removed. Fragments are unioned in
+/// (sender, task) order, not arrival order: `distinct` keeps first
+/// occurrences, so the base row order (and with it the output row order)
+/// must not depend on which reply the network delivered first.
+pub(crate) fn union_distinct(mut frags: Vec<(NodeId, u32, Relation)>) -> Result<Relation> {
+    frags.sort_by_key(|&(src, task, _)| (src, task));
+    let mut frags = frags.into_iter().map(|(_, _, rel)| rel);
+    let mut combined = frags
+        .next()
+        .ok_or_else(|| SkallaError::exec("no base fragments received"))?;
+    for rel in frags {
+        combined.union_all(rel)?;
+    }
+    Ok(combined.distinct())
 }
 
 /// Apply a coordinator-side group-reduction filter to the base relation.

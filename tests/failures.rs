@@ -232,6 +232,31 @@ fn tree_propagates_site_errors() {
 }
 
 #[test]
+fn tree_launch_rejects_differing_schemas() {
+    // The flat and the tiered launch collect schemas the same way: a table
+    // whose schema differs between sites is refused before any thread
+    // starts.
+    let mut c0 = Catalog::new();
+    c0.register("flow", table(10));
+    let other = Schema::from_pairs([("k", DataType::Int64)])
+        .unwrap()
+        .into_arc();
+    let mut c1 = Catalog::new();
+    c1.register("flow", Table::empty(other));
+    let catalogs = vec![c0, c1];
+    let err = DistributedWarehouse::launch(catalogs.clone(), CostModel::free())
+        .err()
+        .expect("flat launch must refuse");
+    assert!(err.to_string().contains("differing schemas"), "{err}");
+    for fanout in [1, 2] {
+        let err = TieredWarehouse::launch(catalogs.clone(), fanout, CostModel::free())
+            .err()
+            .expect("tiered launch must refuse");
+        assert!(err.to_string().contains("differing schemas"), "{err}");
+    }
+}
+
+#[test]
 fn invalid_plans_rejected_without_execution() {
     let t = table(20);
     let mut c = Catalog::new();

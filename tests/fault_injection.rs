@@ -339,3 +339,35 @@ fn base_row_order_is_independent_of_arrival_order() {
         assert_eq!(result, want, "tiered run {run}");
     }
 }
+
+#[test]
+fn tree_masks_network_faults_bit_for_bit() {
+    // Every tier masks drops, duplicates and delays with the root's own
+    // collection engine: through two mid-tiers the answer — row order
+    // included — is the fault-free flat run's. Duplicates at a 5% rate
+    // used to double or lose groups through the mid-tier.
+    let mut plan = DistPlan::unoptimized(query());
+    plan.retry = fast_retry();
+    let wh = DistributedWarehouse::launch(catalogs(280), CostModel::free()).unwrap();
+    let (want, _) = wh.execute(&plan).unwrap();
+    wh.shutdown().unwrap();
+    assert_eq!(want.sorted(), ground_truth());
+    let dups = (1..=6).map(|seed| FaultPlan::seeded(seed).with_dup_rate(0.05));
+    for faults in dups.chain([
+        FaultPlan::seeded(0xD0B1E).with_dup_rate(0.4),
+        FaultPlan::seeded(0xD05E).with_drop_rate(0.2),
+        FaultPlan::seeded(0xDE1A).with_delay_rate(0.5),
+        FaultPlan::seeded(0xA11)
+            .with_drop_rate(0.15)
+            .with_dup_rate(0.2)
+            .with_delay_rate(0.3),
+    ]) {
+        let ctx = format!("{faults:?}");
+        let tw = TieredWarehouse::launch_with_faults(catalogs(280), 2, CostModel::free(), faults)
+            .unwrap();
+        let (got, metrics) = tw.execute(&plan).unwrap();
+        tw.shutdown().unwrap();
+        assert_eq!(got, want, "{ctx}");
+        assert!(metrics.coverage.unwrap().is_complete(), "{ctx}");
+    }
+}

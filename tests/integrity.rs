@@ -590,6 +590,44 @@ fn corruption_in_an_unread_column_still_fails_the_scan() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A tiered launch learns schemas from segment footers, as the flat launch
+/// does, so a flipped bit in a data chunk is not read at launch: both
+/// launches succeed, and the damage surfaces at query time as the same
+/// typed corruption error, through the mid-tier.
+#[test]
+fn tiered_launch_leaves_corruption_to_the_query() {
+    let dir = scratch_dir("tiered-launch");
+    let paths = write_partition_files(&dir);
+    let victim = &paths[1];
+    let mut bytes = std::fs::read(victim).unwrap();
+    bytes[chunk_start(victim, 0, 1) + 2] ^= 0x20;
+    std::fs::write(victim, &bytes).unwrap();
+    let catalogs: Vec<Catalog> = paths
+        .iter()
+        .map(|p| {
+            let mut c = Catalog::new();
+            c.register_segments("flow", std::sync::Arc::new(SegmentFile::open(p).unwrap()));
+            c
+        })
+        .collect();
+
+    let flat = DistributedWarehouse::launch(catalogs.clone(), CostModel::free()).unwrap();
+    let err = run(&flat, DegradedMode::Fail).unwrap_err();
+    assert!(matches!(err, SkallaError::SegmentCorrupt(_)), "flat: {err}");
+    flat.shutdown().unwrap();
+
+    let tiered = skalla::core::TieredWarehouse::launch(catalogs, 2, CostModel::free()).unwrap();
+    let mut plan = DistPlan::unoptimized(query());
+    plan.retry = retry(DegradedMode::Fail);
+    let err = tiered.execute(&plan).unwrap_err();
+    assert!(
+        matches!(err, SkallaError::SegmentCorrupt(_)),
+        "tiered: {err}"
+    );
+    tiered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------- soak
 // Run explicitly; CI smokes it in release.
 

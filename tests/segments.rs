@@ -489,3 +489,108 @@ fn projected_warehouse_matches_centralized() {
     replicated.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every segment read is counted, in every round kind and through every
+/// topology: each read CRC-checks all of a segment's chunks, so
+/// `blocks_verified` is the schema width times `segments_scanned` in each
+/// round. The `BASE DISTINCT` round reads every segment of every site file
+/// once for its key columns, and once more for the skew sketch when the
+/// placement is replicated; the tree sums its leaves' counts.
+#[test]
+fn every_segment_read_is_counted() {
+    use skalla::core::TieredWarehouse;
+    use skalla::prelude::{
+        parse_query, partition_by_hash, Catalog, CostModel, DistPlan, DistributedWarehouse,
+        ExecMetrics, FaultPlan,
+    };
+    const SITES: usize = 4;
+    let table = parallel_table();
+    let schemas = std::collections::HashMap::from([("t".to_string(), schema())]);
+    let expr = parse_query(
+        "BASE DISTINCT s FROM t;
+         MD COUNT(*) AS n WHERE b.s = r.s;
+         MD COUNT(*) AS hot WHERE b.s = r.s AND r.f >= 100;",
+        &schemas,
+    )
+    .unwrap();
+    let parts = partition_by_hash(&table, 2, SITES).unwrap();
+    let dir = std::env::temp_dir().join(format!("skalla-segtest-count-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let paths: Vec<String> = (0..SITES)
+        .map(|site| {
+            let path = dir.join(format!("t-{site}.seg"));
+            write_segments(&path, &parts.parts[site], 300).unwrap();
+            path.to_string_lossy().into_owned()
+        })
+        .collect();
+    let segments: u64 = paths
+        .iter()
+        .map(|p| SegmentFile::open(p).unwrap().num_segments() as u64)
+        .sum();
+    let in_memory: Vec<Catalog> = parts
+        .parts
+        .iter()
+        .map(|p| {
+            let mut c = Catalog::new();
+            c.register("t", p.clone());
+            c
+        })
+        .collect();
+    let on_disk: Vec<Catalog> = paths
+        .iter()
+        .map(|p| {
+            let mut c = Catalog::new();
+            c.register_segments("t", std::sync::Arc::new(SegmentFile::open(p).unwrap()));
+            c
+        })
+        .collect();
+    let check = |m: &ExecMetrics, base_reads: u64, ctx: &str| {
+        let base = m.rounds.iter().find(|r| r.label == "base").unwrap();
+        assert_eq!(base.segments_scanned, base_reads, "{ctx}");
+        for r in &m.rounds {
+            assert_eq!(
+                r.blocks_verified,
+                4 * r.segments_scanned,
+                "{ctx} {}",
+                r.label
+            );
+        }
+        // Both MD rounds scan every segment too (no pruning).
+        assert_eq!(
+            m.total_segments_scanned(),
+            base_reads + 2 * segments,
+            "{ctx}"
+        );
+    };
+    let mut plan = DistPlan::unoptimized(expr);
+    plan.segment_prune = false;
+
+    let flat = DistributedWarehouse::launch(in_memory, CostModel::free()).unwrap();
+    flat.load_segments("t", &paths).unwrap();
+    check(&flat.execute(&plan).unwrap().1, segments, "flat");
+    flat.shutdown().unwrap();
+
+    let replicated = DistributedWarehouse::launch_replicated(
+        "t",
+        &parts,
+        2,
+        CostModel::free(),
+        FaultPlan::none(),
+    )
+    .unwrap();
+    replicated.load_segments("t", &paths).unwrap();
+    // Failover mode addresses partitions, which is what turns on sketches.
+    let mut failover = plan.clone();
+    failover.retry.degraded = skalla::prelude::DegradedMode::Failover;
+    let (_, m) = replicated.execute(&failover).unwrap();
+    check(&m, 2 * segments, "replicated");
+    replicated.shutdown().unwrap();
+
+    for fanout in [2, 3] {
+        let tiered = TieredWarehouse::launch(on_disk.clone(), fanout, CostModel::free()).unwrap();
+        let (_, m) = tiered.execute(&plan).unwrap();
+        check(&m, segments, &format!("tiered fanout {fanout}"));
+        tiered.shutdown().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
