@@ -4,7 +4,7 @@
 //!
 //! The experiment library behind the figure-reproduction binaries
 //! (`fig2_group_reduction`, `fig3_coalescing`, `fig4_sync_reduction`,
-//! `fig5_scaleup`, `transfer_bound`) and the Criterion microbenches.
+//! `fig5_scaleup`, `transfer_bound`) and the `BENCH_*.json` binaries.
 //!
 //! [`queries`] builds the paper's §5 test queries over the TPCR relation;
 //! [`harness`] sets up partitioned warehouses, runs plan variants, and

@@ -15,9 +15,7 @@ use std::ops::AddAssign;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use skalla_expr::{BinOp, Expr, UnOp};
-use skalla_gmdj::{
-    AggFunc, AggSpec, BaseSpec, EvalStats, GmdjBlock, GmdjExpr, GmdjOp, SegScanStats,
-};
+use skalla_gmdj::{AggFunc, AggSpec, BaseSpec, EvalStats, GmdjBlock, GmdjExpr, GmdjOp};
 use skalla_net::wire::{put_str, put_varint};
 use skalla_net::{WireDecode, WireEncode, WireReader};
 use skalla_storage::{PartFrag, PartSketch};
@@ -214,16 +212,17 @@ pub struct SiteCounters {
 }
 
 impl SiteCounters {
-    /// The counters of one local GMDJ evaluation.
-    pub(crate) fn of_eval(stats: &EvalStats, seg: &SegScanStats) -> SiteCounters {
+    /// The counters of one local scan: a GMDJ evaluation, or a site's key
+    /// scan, which counts its segment reads the same way.
+    pub(crate) fn of_eval(stats: &EvalStats) -> SiteCounters {
         SiteCounters {
             blocks_compiled: u64::from(stats.blocks_compiled),
             blocks_interpreted: u64::from(
                 stats.blocks_hashed + stats.blocks_nested - stats.blocks_compiled,
             ),
-            segments_scanned: seg.scanned,
-            segments_pruned: seg.pruned,
-            blocks_verified: seg.blocks_verified,
+            segments_scanned: stats.segments_scanned,
+            segments_pruned: stats.segments_pruned,
+            blocks_verified: stats.blocks_verified,
             sketch: Vec::new(),
         }
     }

@@ -7,16 +7,17 @@
 //! rather than crashing the fabric.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 use bytes::Bytes;
 use skalla_gmdj::{
-    eval_gmdj_dual, eval_gmdj_dual_segments, eval_gmdj_sub, eval_gmdj_sub_segments, BaseSpec,
-    EvalOptions, GmdjExpr, SegScanStats, MATCH_COUNT_COL,
+    eval_gmdj_dual_source, eval_gmdj_sub_source, BaseSpec, EvalOptions, EvalStats, GmdjExpr,
+    MATCH_COUNT_COL,
 };
 use skalla_net::{Endpoint, Envelope, NodeId};
 use skalla_storage::{
-    partition_table_name, Catalog, DistinctRows, PartFrag, PartSketch, SegmentFile, SpaceSaving,
-    Table,
+    partition_table_name, Catalog, DistinctRows, PartFrag, PartSketch, Piece, ScanSource,
+    SegmentFile, SpaceSaving, Table,
 };
 use skalla_types::{Relation, Result, Schema, SkallaError, Value};
 
@@ -49,7 +50,6 @@ pub fn run_site_with_parent(endpoint: Endpoint, catalog: Catalog, parent: NodeId
         endpoint,
         catalog,
         plan: None,
-        frag_cache: std::cell::RefCell::new(None),
     };
     serve_parent(&mut site, parent);
 }
@@ -170,32 +170,11 @@ fn request_task(msg: &Message) -> u32 {
     }
 }
 
-/// A cached materialized detail table: (table name, fragment list) key
-/// plus the assembled rows.
-type FragCacheEntry = (String, Vec<PartFrag>, std::sync::Arc<Table>);
-
-/// The detail relation a scan runs over: an in-memory table, or an
-/// on-disk segment file streamed one segment at a time (optionally
-/// windowed to a global row range for fragment addressing).
-enum LocalDetail {
-    /// Fully materialized rows.
-    Mem(std::sync::Arc<Table>),
-    /// Out-of-core segment store, with an optional `[start, end)` global
-    /// row window.
-    Seg(std::sync::Arc<SegmentFile>, Option<(usize, usize)>),
-}
-
 /// A site: its endpoint and its mutable local state.
 struct SiteState {
     endpoint: Endpoint,
     catalog: Catalog,
     plan: Option<DistPlan>,
-    /// One-entry cache of the last materialized multi-fragment detail
-    /// table, keyed by (table name, fragment list). A query's rounds
-    /// name the same split layout once per synchronization; without the
-    /// cache each round would pay a fresh columnar copy of the site's
-    /// whole work list.
-    frag_cache: std::cell::RefCell<Option<FragCacheEntry>>,
 }
 
 impl ChildNode for SiteState {
@@ -237,8 +216,6 @@ impl ChildNode for SiteState {
                         .register_segments(partition_table_name(&table, p as usize), file.clone());
                 }
                 self.catalog.register_segments(table, file);
-                // Any materialized fragment union may now be stale.
-                *self.frag_cache.borrow_mut() = None;
                 Ok(vec![Message::SegmentsLoaded { rows }])
             }
             Message::ShipAllRequest { table } => {
@@ -312,7 +289,6 @@ impl SiteState {
                     for n in &names {
                         self.catalog.unregister(n);
                     }
-                    *self.frag_cache.borrow_mut() = None;
                     ScrubEntry {
                         table: name,
                         path: path.display().to_string(),
@@ -336,89 +312,13 @@ impl SiteState {
         Ok(&self.plan()?.expr)
     }
 
-    /// Resolve the detail relation a request aggregates over. `parts: None`
-    /// is the replication-unaware protocol — the site's primary partition,
-    /// registered under the plain table name. `Some(fs)` names replicated
-    /// partition fragments (tables registered by
-    /// `skalla-storage::replicate_catalogs` under their mangled names) and
-    /// unions them; failover uses this to hand a dead site's partitions to
-    /// a surviving replica host, and skew-aware splitting uses row-range
-    /// fragments to spread a hot partition over several hosts. Replicas
-    /// are bit-identical with identical row order, so a `PartFrag` row
-    /// range denotes the same rows on every host.
-    fn detail_table(
-        &self,
-        name: &str,
-        parts: Option<&[PartFrag]>,
-    ) -> Result<std::sync::Arc<Table>> {
-        let Some(fs) = parts else {
-            return self.catalog.get(name);
-        };
-        if fs.is_empty() {
-            return Err(SkallaError::exec("request names an empty fragment list"));
-        }
-        if fs.len() == 1 && fs[0].is_whole() {
-            return self
-                .catalog
-                .get(&partition_table_name(name, fs[0].part as usize));
-        }
-        if let Some((n, f, t)) = self.frag_cache.borrow().as_ref() {
-            if n == name && f == fs {
-                return Ok(t.clone());
-            }
-        }
-        // Columnar assembly: whole partitions and row-range slices are
-        // bulk typed-vector copies, never per-row pushes — fragment
-        // materialization must stay cheap relative to the scan it slices.
-        let mut pieces: Vec<Table> = Vec::with_capacity(fs.len());
-        for f in fs {
-            let t = self
-                .catalog
-                .get(&partition_table_name(name, f.part as usize))?;
-            if f.is_whole() {
-                pieces.push((*t).clone());
-            } else {
-                let (start, end) = f.row_bounds(t.len());
-                pieces.push(t.row_range(start, end)?);
-            }
-        }
-        let table = std::sync::Arc::new(Table::concat(&pieces)?);
-        *self.frag_cache.borrow_mut() = Some((name.to_string(), fs.to_vec(), table.clone()));
-        Ok(table)
-    }
-
-    /// [`SiteState::detail_table`] that keeps segment-backed partitions
-    /// out-of-core. A request resolving to exactly one segment-backed
-    /// partition (the common case — `parts: None`, or a single fragment)
-    /// streams from disk; a multi-fragment union over segment files falls
-    /// back to materialization via [`Catalog::get`], which stays correct
-    /// but pays the decode (failover hands a site at most a few extra
-    /// partitions, so the fallback is rare and bounded).
-    fn detail_source(&self, name: &str, parts: Option<&[PartFrag]>) -> Result<LocalDetail> {
-        match parts {
-            None => {
-                if let Some(f) = self.catalog.get_segments(name) {
-                    return Ok(LocalDetail::Seg(f, None));
-                }
-            }
-            Some([f]) => {
-                let pname = partition_table_name(name, f.part as usize);
-                if let Some(file) = self.catalog.get_segments(&pname) {
-                    let range = (!f.is_whole()).then(|| f.row_bounds(file.total_rows()));
-                    return Ok(LocalDetail::Seg(file, range));
-                }
-            }
-            Some(_) => {}
-        }
-        self.detail_table(name, parts).map(LocalDetail::Mem)
-    }
-
     /// Per-partition sketches for the partitions a request names. `rows`
     /// is the *whole* partition's cardinality (the site hosts the full
     /// replica even when asked for a fragment of it), so coordinator-side
     /// load estimates are exact regardless of how the request was sliced.
     /// When `heavy_cols` is given, a space-saving heavy-hitter sketch over
-    /// those columns is gathered from the requested row ranges.
+    /// those columns is gathered from the requested row ranges, counting
+    /// its segment reads.
     fn part_sketches(
         &self,
         name: &str,
@@ -436,56 +336,26 @@ impl SiteState {
         // site; its heavy hitters are a property of the partition, not of
         // any single slice).
         let mut sketches: Vec<SpaceSaving> = Vec::new();
+        let mut stats = EvalStats::default();
         for f in fs {
-            let pname = partition_table_name(name, f.part as usize);
-            // Segment-backed partitions report cardinality from footer
-            // metadata and sketch by streaming — never materialized whole.
-            let seg = self.catalog.get_segments(&pname);
-            let mem = match &seg {
-                Some(_) => None,
-                None => Some(self.catalog.get(&pname)?),
-            };
-            let total = match (&seg, &mem) {
-                (Some(file), _) => file.total_rows(),
-                (None, Some(t)) => t.len(),
-                (None, None) => unreachable!("resolved above"),
-            };
+            let part = self
+                .catalog
+                .source(name, Some(&[PartFrag::whole(f.part)]))?;
             if out.last().map(|s| s.part) != Some(f.part) {
                 out.push(PartSketch {
                     part: f.part,
-                    rows: total as u64,
+                    rows: part.rows() as u64,
                     heavy: Vec::new(),
                 });
                 sketches.push(SpaceSaving::new(HEAVY_HITTER_CAP));
             }
             if let Some(cols) = heavy_cols {
-                let (start, end) = if f.is_whole() {
-                    (0, total)
-                } else {
-                    f.row_bounds(total)
-                };
+                let (start, end) = f.row_bounds(part.rows());
                 let ss = sketches.last_mut().expect("just pushed");
-                match (&seg, &mem) {
-                    (Some(file), _) => offer_segment_rows(file, cols, start, end, ss, counters)?,
-                    (None, Some(t)) => {
-                        // Columnar scan: hash only the group-key columns by
-                        // index — no per-row materialization, and a
-                        // fragment's nonzero start offset costs nothing
-                        // (iterating rows and skipping the prefix would
-                        // charge split fragments for rows they never
-                        // compute on).
-                        let key_cols: Vec<_> = cols
-                            .iter()
-                            .map(|&c| (c < t.schema().len()).then(|| t.column(c)))
-                            .collect();
-                        for i in start..end {
-                            ss.offer(hash_group_cols(&key_cols, i));
-                        }
-                    }
-                    (None, None) => unreachable!("resolved above"),
-                }
+                sketch_keys(&part, start..end, cols, ss, &mut stats)?;
             }
         }
+        *counters += SiteCounters::of_eval(&stats);
         for (sk, ss) in out.iter_mut().zip(&sketches) {
             sk.heavy = ss.top();
         }
@@ -523,19 +393,16 @@ impl SiteState {
         parts: Option<&[PartFrag]>,
         counters: &mut SiteCounters,
     ) -> Result<Relation> {
-        match &expr.base {
-            BaseSpec::DistinctProject { cols } => {
-                match self.detail_source(&expr.detail_name, parts)? {
-                    LocalDetail::Mem(detail) => detail.distinct_project(cols),
-                    LocalDetail::Seg(file, range) => {
-                        segmented_distinct_project(&file, cols, range, counters)
-                    }
-                }
-            }
-            BaseSpec::Relation(_) => Err(SkallaError::exec(
+        let BaseSpec::DistinctProject { cols } = &expr.base else {
+            return Err(SkallaError::exec(
                 "coordinator asked a site to compute an explicit base relation",
-            )),
-        }
+            ));
+        };
+        let source = self.catalog.source(&expr.detail_name, parts)?;
+        let mut stats = EvalStats::default();
+        let base = distinct_keys(&source, cols, &mut stats)?;
+        *counters += SiteCounters::of_eval(&stats);
+        Ok(base)
     }
 
     /// One standard round: sub-aggregates for operator `op_idx` over the
@@ -556,25 +423,19 @@ impl SiteState {
             .get(op_idx)
             .ok_or_else(|| SkallaError::exec(format!("operator {op_idx} out of range")))?;
         let reduce = plan.rounds[op_idx].site_group_reduction;
-        let source = self.detail_source(plan.expr.detail_for_op(op_idx), parts)?;
+        let source = self
+            .catalog
+            .source(plan.expr.detail_for_op(op_idx), parts)?;
         let opts = EvalOptions {
             with_match_count: reduce,
             parallelism: plan.site_parallelism,
             ..Default::default()
         };
-        let (h, stats, seg) = match &source {
-            LocalDetail::Mem(detail) => {
-                let (h, stats) = eval_gmdj_sub(&base, &**detail, detail.schema(), op, &opts)?;
-                (h, stats, SegScanStats::default())
-            }
-            LocalDetail::Seg(file, range) => {
-                eval_gmdj_sub_segments(&base, file, op, &opts, plan.segment_prune, *range)?
-            }
-        };
+        let (h, stats) = eval_gmdj_sub_source(&base, &source, op, &opts, plan.segment_prune)?;
         let h = if reduce { strip_unmatched(h)? } else { h };
         // Cardinality-only sketches (O(#parts)): the coordinator refreshes
         // its load estimates from every reply, not just base rounds.
-        let mut counters = SiteCounters::of_eval(&stats, &seg);
+        let mut counters = SiteCounters::of_eval(&stats);
         counters.sketch =
             self.part_sketches(plan.expr.detail_for_op(op_idx), parts, None, &mut counters)?;
         Ok(fragments(
@@ -631,23 +492,14 @@ impl SiteState {
 
         for k in start..=end {
             let op = &expr.ops[k];
-            let source = self.detail_source(expr.detail_for_op(k), parts)?;
+            let source = self.catalog.source(expr.detail_for_op(k), parts)?;
             let opts = EvalOptions {
                 parallelism: plan.site_parallelism,
                 ..Default::default()
             };
-            let (dual, seg) = match &source {
-                LocalDetail::Mem(detail) => {
-                    state_fields.extend(op.state_fields(detail.schema())?);
-                    let dual = eval_gmdj_dual(&current, &**detail, detail.schema(), op, &opts)?;
-                    (dual, SegScanStats::default())
-                }
-                LocalDetail::Seg(file, range) => {
-                    state_fields.extend(op.state_fields(file.schema())?);
-                    eval_gmdj_dual_segments(&current, file, op, &opts, plan.segment_prune, *range)?
-                }
-            };
-            counters += SiteCounters::of_eval(&dual.stats, &seg);
+            state_fields.extend(op.state_fields(source.schema())?);
+            let dual = eval_gmdj_dual_source(&current, &source, op, &opts, plan.segment_prune)?;
+            counters += SiteCounters::of_eval(&dual.stats);
             for (i, st) in dual.states.iter().enumerate() {
                 acc_states[i].extend(st.iter().cloned());
                 total_matches[i] += dual.match_counts[i];
@@ -717,80 +569,68 @@ fn hash_group_cols(cols: &[Option<&skalla_storage::Column>], i: usize) -> u64 {
     h.finish()
 }
 
-/// Decode columns `cols` (strictly increasing) of the segments of `file`
-/// overlapping the `[start, end)` global row window one at a time — trimmed
-/// to the window — and feed each to `f`. Segments arrive in global row
-/// order, so streaming consumers observe the same rows in the same order
-/// as a scan of the materialized table. Each read is counted: every chunk
-/// of a read segment is CRC-checked, read or not.
-fn for_each_segment_window(
-    file: &SegmentFile,
+/// Walk source rows `rows` reading only the columns `cols` name, and hand
+/// `f` each piece's table, its rows, and where each entry of `cols` sits
+/// in that table (`None` when out of range). Nothing is pruned; every
+/// segment read is counted into `stats`.
+fn scan_keys(
+    source: &ScanSource<'_>,
+    rows: Range<usize>,
     cols: &[usize],
-    start: usize,
-    end: usize,
-    counters: &mut SiteCounters,
-    mut f: impl FnMut(Table) -> Result<()>,
+    stats: &mut EvalStats,
+    mut f: impl FnMut(&Table, Range<usize>, &[Option<usize>]),
 ) -> Result<()> {
-    for i in 0..file.num_segments() {
-        let s = file.segment_row_start(i);
-        let e = s + file.meta(i).rows;
-        let (lo, hi) = (start.max(s), end.min(e));
-        if lo >= hi {
-            continue;
-        }
-        let mut t = file.read_columns(i, cols)?;
-        counters.segments_scanned += 1;
-        counters.blocks_verified += file.schema().len() as u64;
-        if (lo, hi) != (s, e) {
-            t = t.row_range(lo - s, hi - s)?;
-        }
-        f(t)?;
-    }
-    Ok(())
+    let (read, at) = skalla_storage::projection(cols, source.schema().len());
+    // An in-memory piece holds every column.
+    let whole: Vec<Option<usize>> = at.iter().map(|p| p.map(|p| read[p])).collect();
+    source.scan(
+        rows,
+        &read,
+        |_| false,
+        |piece| {
+            stats.count(&piece);
+            match piece {
+                Piece::Table(t, rows) => f(t, rows, &whole),
+                Piece::Segment(t, rows, _) => f(t, rows, &at),
+                Piece::Pruned => {}
+            }
+            Ok(())
+        },
+    )
 }
 
-/// Offer the group-key hash of every row in the `[start, end)` window of a
-/// segment file to the heavy-hitter sketch — the out-of-core counterpart of
-/// the columnar in-memory sketch scan, one segment's key columns resident
-/// at a time.
-fn offer_segment_rows(
-    file: &SegmentFile,
+/// The distinct rows of `source` projected onto `cols`, in first-seen
+/// order — the local `BASE DISTINCT`.
+fn distinct_keys(
+    source: &ScanSource<'_>,
     cols: &[usize],
-    start: usize,
-    end: usize,
-    ss: &mut SpaceSaving,
-    counters: &mut SiteCounters,
-) -> Result<()> {
-    let (read, at) = skalla_storage::projection(cols, file.schema().len());
-    for_each_segment_window(file, &read, start, end, counters, |t| {
-        let key_cols: Vec<_> = at.iter().map(|p| p.map(|p| t.column(p))).collect();
-        for i in 0..t.len() {
-            ss.offer(hash_group_cols(&key_cols, i));
-        }
-        Ok(())
-    })
-}
-
-/// `Table::distinct_project` over a segment file, one segment's key
-/// columns resident at a time. Segments are visited in global row order,
-/// so the first-seen row ordering is bit-for-bit the in-memory scan's.
-fn segmented_distinct_project(
-    file: &SegmentFile,
-    cols: &[usize],
-    range: Option<(usize, usize)>,
-    counters: &mut SiteCounters,
+    stats: &mut EvalStats,
 ) -> Result<Relation> {
-    let schema = std::sync::Arc::new(file.schema().project(cols)?);
-    let (start, end) = range.unwrap_or((0, file.total_rows()));
-    // `project` accepted `cols`, so every key column is in range.
-    let (read, at) = skalla_storage::projection(cols, file.schema().len());
-    let at: Vec<usize> = at.into_iter().flatten().collect();
+    let schema = std::sync::Arc::new(source.schema().project(cols)?);
     let mut distinct = DistinctRows::default();
-    for_each_segment_window(file, &read, start, end, counters, |t| {
-        distinct.offer(&t, &at);
-        Ok(())
+    // `project` accepted `cols`, so every key column is in range.
+    scan_keys(source, 0..source.rows(), cols, stats, |t, rows, at| {
+        let at: Vec<usize> = at.iter().flatten().copied().collect();
+        distinct.offer(t, rows, &at);
     })?;
     Ok(distinct.into_relation(schema))
+}
+
+/// Offer the group-key hash of source rows `rows` to the heavy-hitter
+/// sketch.
+fn sketch_keys(
+    source: &ScanSource<'_>,
+    rows: Range<usize>,
+    cols: &[usize],
+    ss: &mut SpaceSaving,
+    stats: &mut EvalStats,
+) -> Result<()> {
+    scan_keys(source, rows, cols, stats, |t, rows, at| {
+        let key_cols: Vec<_> = at.iter().map(|p| p.map(|p| t.column(p))).collect();
+        for i in rows {
+            ss.offer(hash_group_cols(&key_cols, i));
+        }
+    })
 }
 
 /// A round's or local run's reply: `rel` row-blocked into
@@ -929,11 +769,16 @@ mod tests {
         for cols in [&[2, 0][..], &[0, 2], &[3], &[3, 2, 1, 0]] {
             for range in [None, Some((37, 301)), Some((64, 128)), Some((5, 5))] {
                 let (lo, hi) = range.unwrap_or((0, table.len()));
-                let want = table.row_range(lo, hi).unwrap().distinct_project(cols);
-                let mut counters = SiteCounters::default();
-                let got = segmented_distinct_project(&file, cols, range, &mut counters).unwrap();
-                assert_eq!(got.schema(), want.as_ref().unwrap().schema());
-                assert_eq!(got.rows(), want.unwrap().rows(), "{cols:?} {range:?}");
+                let window = table.row_range(lo, hi).unwrap();
+                let want = window.distinct_project(cols).unwrap();
+                let mut stats = EvalStats::default();
+                let source = ScanSource::of_segments(&file, range);
+                let got = distinct_keys(&source, cols, &mut stats).unwrap();
+                assert_eq!(got.schema(), want.schema());
+                assert_eq!(got.rows(), want.rows(), "{cols:?} {range:?}");
+                let in_memory = ScanSource::of_table(&window);
+                let mem = distinct_keys(&in_memory, cols, &mut EvalStats::default()).unwrap();
+                assert_eq!(mem.rows(), want.rows(), "{cols:?} {range:?}");
                 // Every segment overlapping the window is read once, and
                 // all four of its chunks are checked.
                 let reads = if lo < hi {
@@ -941,8 +786,8 @@ mod tests {
                 } else {
                     0
                 };
-                assert_eq!(counters.segments_scanned, reads as u64, "{range:?}");
-                assert_eq!(counters.blocks_verified, 4 * reads as u64, "{range:?}");
+                assert_eq!(stats.segments_scanned, reads as u64, "{range:?}");
+                assert_eq!(stats.blocks_verified, 4 * reads as u64, "{range:?}");
             }
         }
         for cols in [&[2, 0][..], &[3, 9], &[0, 2, 0]] {
@@ -955,10 +800,15 @@ mod tests {
                 want.offer(hash_group_cols(&key_cols, i));
             }
             let mut got = SpaceSaving::new(HEAVY_HITTER_CAP);
-            let mut counters = SiteCounters::default();
-            offer_segment_rows(&file, cols, 37, 301, &mut got, &mut counters).unwrap();
-            assert_eq!(counters.segments_scanned, 5);
+            let mut stats = EvalStats::default();
+            let source = ScanSource::of_segments(&file, None);
+            sketch_keys(&source, 37..301, cols, &mut got, &mut stats).unwrap();
+            assert_eq!(stats.segments_scanned, 5);
             assert_eq!(got.top(), want.top(), "{cols:?}");
+            let mut mem = SpaceSaving::new(HEAVY_HITTER_CAP);
+            let in_memory = ScanSource::of_table(&table);
+            sketch_keys(&in_memory, 37..301, cols, &mut mem, &mut stats).unwrap();
+            assert_eq!(mem.top(), want.top(), "{cols:?}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -970,7 +820,6 @@ mod tests {
             endpoint: eps.pop().expect("site endpoint"),
             catalog: Catalog::new(),
             plan: None,
-            frag_cache: std::cell::RefCell::new(None),
         };
         assert!(state.plan().is_err());
         let r = state.round(0, Relation::empty(Schema::empty().into_arc()), None, 0);

@@ -13,9 +13,15 @@ use crate::eval::{eval_gmdj_full, EvalOptions};
 use crate::op::{BaseSpec, GmdjExpr};
 
 /// Evaluate `expr` against the tables in `catalog` (each detail name binds
-/// to the full relation).
+/// to the full relation) on the row-at-a-time interpreter, so a
+/// differential test against it checks the compiled kernels the sites run
+/// rather than comparing them with themselves.
 pub fn eval_expr_centralized(expr: &GmdjExpr, catalog: &Catalog) -> Result<Relation> {
-    eval_expr_centralized_opts(expr, catalog, &EvalOptions::default())
+    let opts = EvalOptions {
+        compiled: false,
+        ..Default::default()
+    };
+    eval_expr_centralized_opts(expr, catalog, &opts)
 }
 
 /// [`eval_expr_centralized`] with explicit evaluation options.
@@ -33,7 +39,7 @@ pub fn eval_expr_centralized_opts(
 
     for (k, op) in expr.ops.iter().enumerate() {
         let detail = catalog.get(expr.detail_for_op(k))?;
-        let (next, _) = eval_gmdj_full(&current, &*detail, detail.schema(), op, opts)?;
+        let (next, _) = eval_gmdj_full(&current, &detail, detail.schema(), op, opts)?;
         current = next;
     }
 

@@ -17,14 +17,19 @@
 //!   the coordinator during distributed rounds (state columns, optionally
 //!   plus the `__rng_count` match counter of Proposition 1).
 //! * [`eval_gmdj_full`] produces finalized output columns (used by the
-//!   centralized reference evaluator and by local-only rounds under
-//!   synchronization reduction).
+//!   centralized reference evaluator); [`eval_gmdj_dual_source`] produces
+//!   both, for local-only runs under synchronization reduction.
+//!
+//! Every evaluation is one scan of a [`ScanSource`] — an in-memory table,
+//! a segment file, or a site's union of partition windows over both —
+//! through one loop, so where the rows live never changes an answer.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use skalla_expr::{analysis, eval_detail, eval_predicate, DetailBounds, Expr};
-use skalla_storage::segment::{zone_may_contain_str, zone_may_overlap, SegmentFile};
-use skalla_storage::{ColumnStats, HashIndex};
+use skalla_storage::segment::{zone_may_contain_str, zone_may_overlap, SegmentFile, SegmentMeta};
+use skalla_storage::{ColumnStats, HashIndex, Piece, ScanSource, Table};
 use skalla_types::{DataType, Field, Relation, Result, Row, Schema, Value};
 
 use crate::op::{GmdjOp, MATCH_COUNT_COL};
@@ -93,34 +98,59 @@ pub struct EvalStats {
     /// hashed/nested counts, which record the join strategy regardless of
     /// execution mode).
     pub blocks_compiled: u32,
+    /// Segment reads: one per segment a scan decoded.
+    pub segments_scanned: u64,
+    /// Segments skipped because their zone maps refuted every block's θ.
+    pub segments_pruned: u64,
+    /// Column chunks whose CRC32C was verified by those reads (every
+    /// column of each read segment, decoded or not).
+    pub blocks_verified: u64,
 }
 
-/// The detail side of local evaluation: either a columnar table or a
-/// row-oriented relation (the coordinator re-aggregates shipped `H`
-/// fragments, which are relations). `Sync` so evaluation can fan a scan out
-/// across threads.
+impl EvalStats {
+    /// Count one piece of a [`ScanSource::scan`]: a decoded segment is one
+    /// read, which CRC-checked every chunk of the segment; a pruned one
+    /// was not read. In-memory pieces read no segment.
+    pub fn count(&mut self, piece: &Piece<'_>) {
+        match piece {
+            Piece::Segment(_, _, chunks) => {
+                self.segments_scanned += 1;
+                self.blocks_verified += chunks;
+            }
+            Piece::Pruned => self.segments_pruned += 1,
+            Piece::Table(..) => {}
+        }
+    }
+}
+
+impl std::ops::AddAssign for EvalStats {
+    fn add_assign(&mut self, o: EvalStats) {
+        self.detail_rows_scanned += o.detail_rows_scanned;
+        self.matches += o.matches;
+        self.blocks_hashed += o.blocks_hashed;
+        self.blocks_nested += o.blocks_nested;
+        self.blocks_compiled += o.blocks_compiled;
+        self.segments_scanned += o.segments_scanned;
+        self.segments_pruned += o.segments_pruned;
+        self.blocks_verified += o.blocks_verified;
+    }
+}
+
+/// Row access to a detail relation, columnar or row-oriented: what the
+/// OLAP base builders ([`crate::olap`]) read.
 pub trait DetailSource: Sync {
     /// Number of rows.
     fn num_rows(&self) -> usize;
     /// Materialize row `i`.
     fn get_row(&self, i: usize) -> Row;
-    /// The columnar window `(table, start, len)` backing this source, if
-    /// any — the compiled batch path needs zero-copy column slices. `None`
-    /// (the default) keeps evaluation on the row-at-a-time interpreter.
-    fn table_slice(&self) -> Option<(&skalla_storage::Table, usize, usize)> {
-        None
-    }
 }
 
-impl DetailSource for skalla_storage::Table {
+impl DetailSource for Table {
     fn num_rows(&self) -> usize {
         self.len()
     }
     fn get_row(&self, i: usize) -> Row {
         self.row(i)
-    }
-    fn table_slice(&self) -> Option<(&skalla_storage::Table, usize, usize)> {
-        Some((self, 0, self.len()))
     }
 }
 
@@ -135,15 +165,44 @@ impl DetailSource for Relation {
 
 /// Evaluate `op` over (`base`, `detail`) producing **sub-aggregate state**
 /// columns: schema = base fields ++ state fields (++ `__rng_count`).
-pub fn eval_gmdj_sub<D: DetailSource>(
+/// `detail_schema` is `detail`'s schema.
+pub fn eval_gmdj_sub(
     base: &Relation,
-    detail: &D,
+    detail: &Table,
     detail_schema: &Schema,
     op: &GmdjOp,
     opts: &EvalOptions,
 ) -> Result<(Relation, EvalStats)> {
-    let (states, match_counts, stats) = accumulate(base, detail, op, opts)?;
-    let rel = shape_sub(base, detail_schema, op, opts, &states, &match_counts)?;
+    debug_assert_eq!(**detail.schema(), *detail_schema);
+    eval_gmdj_sub_source(base, &ScanSource::of_table(detail), op, opts, false)
+}
+
+/// [`eval_gmdj_sub`] over rows `range` (all when `None`) of a segment
+/// file, pruning segments by their zone maps when `prune` is set.
+pub fn eval_gmdj_sub_segments(
+    base: &Relation,
+    file: &SegmentFile,
+    op: &GmdjOp,
+    opts: &EvalOptions,
+    prune: bool,
+    range: Option<(usize, usize)>,
+) -> Result<(Relation, EvalStats)> {
+    eval_gmdj_sub_source(base, &ScanSource::of_segments(file, range), op, opts, prune)
+}
+
+/// [`eval_gmdj_sub`] over any [`ScanSource`]: the site's `MD` round.
+/// `prune` lets segment windows skip segments whose zone maps refute
+/// every block's θ; pruned segments contribute no matches, so
+/// `__rng_count` semantics are unchanged.
+pub fn eval_gmdj_sub_source(
+    base: &Relation,
+    source: &ScanSource<'_>,
+    op: &GmdjOp,
+    opts: &EvalOptions,
+    prune: bool,
+) -> Result<(Relation, EvalStats)> {
+    let (states, match_counts, stats) = accumulate(base, source, op, opts, prune)?;
+    let rel = shape_sub(base, source.schema(), op, opts, &states, &match_counts)?;
     Ok((rel, stats))
 }
 
@@ -203,20 +262,22 @@ fn shape_full(
 }
 
 /// Evaluate `op` over (`base`, `detail`) producing **finalized** output
-/// columns: schema = base fields ++ output fields.
-pub fn eval_gmdj_full<D: DetailSource>(
+/// columns: schema = base fields ++ output fields. `detail_schema` is
+/// `detail`'s schema.
+pub fn eval_gmdj_full(
     base: &Relation,
-    detail: &D,
+    detail: &Table,
     detail_schema: &Schema,
     op: &GmdjOp,
     opts: &EvalOptions,
 ) -> Result<(Relation, EvalStats)> {
-    let (states, _, stats) = accumulate(base, detail, op, opts)?;
+    let (states, _, stats) = accumulate(base, &ScanSource::of_table(detail), op, opts, false)?;
     let rel = shape_full(base, detail_schema, op, &states)?;
     Ok((rel, stats))
 }
 
-/// Result of [`eval_gmdj_dual`]: both views of one accumulation pass.
+/// Result of [`eval_gmdj_dual_source`]: both views of one accumulation
+/// pass.
 #[derive(Debug, Clone)]
 pub struct DualResult {
     /// Finalized relation (base fields ++ output fields) — the base for the
@@ -231,19 +292,20 @@ pub struct DualResult {
     pub stats: EvalStats,
 }
 
-/// Evaluate `op` once and return both the finalized relation and the raw
+/// Evaluate `op` once over `source`, pruning as [`eval_gmdj_sub_source`]
+/// does, and return both the finalized relation and the raw
 /// sub-aggregate state. Used by sites executing a synchronization-reduced
 /// local run (paper §4.3): the finalized view feeds the next operator
 /// locally while the state columns are what ultimately gets shipped.
-pub fn eval_gmdj_dual<D: DetailSource>(
+pub fn eval_gmdj_dual_source(
     base: &Relation,
-    detail: &D,
-    detail_schema: &Schema,
+    source: &ScanSource<'_>,
     op: &GmdjOp,
     opts: &EvalOptions,
+    prune: bool,
 ) -> Result<DualResult> {
-    let (states, match_counts, stats) = accumulate(base, detail, op, opts)?;
-    let full = shape_full(base, detail_schema, op, &states)?;
+    let (states, match_counts, stats) = accumulate(base, source, op, opts, prune)?;
+    let full = shape_full(base, source.schema(), op, &states)?;
     Ok(DualResult {
         full,
         states,
@@ -256,89 +318,101 @@ pub fn eval_gmdj_dual<D: DetailSource>(
 /// the raw product of one accumulation pass.
 type Accumulated = (Vec<Vec<Value>>, Vec<u64>, EvalStats);
 
-/// A window over a detail source, used to hand each worker thread a
-/// contiguous slice of the scan.
-struct RangeView<'a, D: DetailSource> {
-    inner: &'a D,
-    start: usize,
-    len: usize,
-}
-
-impl<D: DetailSource> DetailSource for RangeView<'_, D> {
-    fn num_rows(&self) -> usize {
-        self.len
-    }
-    fn get_row(&self, i: usize) -> Row {
-        debug_assert!(i < self.len);
-        self.inner.get_row(self.start + i)
-    }
-    fn table_slice(&self) -> Option<(&skalla_storage::Table, usize, usize)> {
-        self.inner
-            .table_slice()
-            .map(|(t, s, _)| (t, s + self.start, self.len))
-    }
-}
-
-/// Core accumulation: per-base-row aggregate state plus match counts.
-/// Dispatches to the parallel scan when the options ask for it and the
-/// detail relation is large enough to amortize the fan-out.
-fn accumulate<D: DetailSource>(
+/// The one scan: accumulate `op` over every row of `source`.
+///
+/// The rows are cut into worker ranges — one when the options are serial
+/// or the source is too small to amortize a fan-out, else `parallelism`
+/// equal ranges, each on its own thread with private state. A range walks
+/// its pieces in row order through one *running* state
+/// ([`accumulate_rows`]): in-memory windows in place with `op`, segments
+/// decoded to the columns `op` reads ([`GmdjOp::project_detail`]) with
+/// `op` rewritten onto them, and — under `prune` — segments whose zone
+/// maps refute every block skipped unread. Ranges then merge in worker
+/// order. The fold order depends only on the row order and the range
+/// cuts, never on where the rows live, so a table, its segment file and
+/// any union of windows over them agree bit for bit, non-associative
+/// float rounding included; pruned segments contribute identity, which
+/// is rounding-neutral.
+///
+/// A segment straddling two ranges is read once by each, and each read
+/// is counted; at `parallelism` 1 every visited segment is read once.
+fn accumulate(
     base: &Relation,
-    detail: &D,
+    source: &ScanSource<'_>,
     op: &GmdjOp,
     opts: &EvalOptions,
+    prune: bool,
 ) -> Result<Accumulated> {
-    let par = opts.parallelism.max(1);
-    let n = detail.num_rows();
-    if par == 1 || n < PARALLEL_MIN_ROWS.max(2 * par) {
-        return accumulate_serial(base, detail, op, opts);
-    }
-
-    // Fan the scan out: each worker accumulates private state over a
-    // contiguous row range (building its own base index — O(|B|) per
-    // worker, dwarfed by the scan at these sizes), then the partial states
-    // merge associatively.
-    let chunk = n.div_ceil(par);
-    let workers: Vec<RangeView<'_, D>> = (0..par)
-        .map(|w| {
-            let start = w * chunk;
-            RangeView {
-                inner: detail,
-                start: start.min(n),
-                len: chunk.min(n.saturating_sub(start.min(n))),
-            }
-        })
-        .filter(|v| v.len > 0)
-        .collect();
-
-    let partials: Vec<Result<Accumulated>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
+    let bounds: Vec<DetailBounds> = if prune {
+        op.blocks
             .iter()
-            .map(|view| scope.spawn(move || accumulate_serial(base, view, op, opts)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(skalla_types::SkallaError::exec("worker panicked")))
-            })
+            .map(|b| analysis::detail_bounds(&b.theta))
             .collect()
-    });
+    } else {
+        Vec::new()
+    };
+    let refuted = |meta: &SegmentMeta| {
+        !bounds.is_empty() && bounds.iter().all(|b| zones_refute(&meta.zones, b))
+    };
+    let (cols, projected) = op.project_detail(source.schema().len())?;
+    let n = source.rows();
+    let par = opts.parallelism.max(1);
+    let chunk = if par == 1 || n < PARALLEL_MIN_ROWS.max(2 * par) {
+        n.max(1)
+    } else {
+        n.div_ceil(par)
+    };
+    let scan_range = |lo: usize| -> Result<Accumulated> {
+        let mut acc = (
+            init_states(base, op),
+            vec![0u64; base.len()],
+            EvalStats::default(),
+        );
+        source.scan(lo..n.min(lo + chunk), &cols, refuted, |piece| {
+            acc.2.count(&piece);
+            match piece {
+                Piece::Table(t, rows) => accumulate_rows(base, t, rows, op, opts, &mut acc),
+                Piece::Segment(t, rows, _) => {
+                    accumulate_rows(base, t, rows, &projected, opts, &mut acc)
+                }
+                Piece::Pruned => Ok(()),
+            }
+        })?;
+        Ok(acc)
+    };
+    let starts: Vec<usize> = (0..n.max(1)).step_by(chunk).collect();
+    let partials: Vec<Result<Accumulated>> = if starts.len() == 1 {
+        vec![scan_range(0)]
+    } else {
+        let scan_range = &scan_range;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = starts
+                .iter()
+                .map(|&lo| scope.spawn(move || scan_range(lo)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| Err(skalla_types::SkallaError::exec("worker panicked")))
+                })
+                .collect()
+        })
+    };
 
     let mut iter = partials.into_iter();
-    let (mut states, mut match_counts, mut stats) = iter.next().expect("at least one worker")?;
+    let (mut states, mut match_counts, mut stats) = iter.next().expect("at least one range")?;
     for partial in iter {
         let (pstates, pcounts, pstats) = partial?;
         merge_partial_states(op, &mut states, &mut match_counts, pstates, &pcounts)?;
-        stats.detail_rows_scanned += pstats.detail_rows_scanned;
-        stats.matches += pstats.matches;
+        stats += pstats;
     }
     Ok((states, match_counts, stats))
 }
 
 /// Merge a partial accumulation into `states`/`match_counts` (Theorem 1:
-/// sub-aggregate state merging is associative, so partials from worker
-/// threads or disk segments combine in any grouping).
+/// sub-aggregate state merging is associative, so worker ranges combine
+/// in any grouping).
 fn merge_partial_states(
     op: &GmdjOp,
     states: &mut [Vec<Value>],
@@ -373,30 +447,15 @@ fn init_states(base: &Relation, op: &GmdjOp) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Single-threaded accumulation over one detail source.
-fn accumulate_serial<D: DetailSource>(
+/// Accumulate rows `rows` of `table` into `acc`, continuing from its
+/// state. Feeding a scan through this in consecutive stretches is
+/// *bit-identical* to one call over their concatenation — every row
+/// updates the same running state in the same order, so even
+/// non-associative float rounding agrees. [`accumulate`] depends on this.
+fn accumulate_rows(
     base: &Relation,
-    detail: &D,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-) -> Result<Accumulated> {
-    let mut acc = (
-        init_states(base, op),
-        vec![0u64; base.len()],
-        EvalStats::default(),
-    );
-    accumulate_serial_into(base, detail, op, opts, &mut acc)?;
-    Ok(acc)
-}
-
-/// Single-threaded accumulation continuing from existing state. Feeding a
-/// detail scan through this in consecutive chunks is *bit-identical* to one
-/// [`accumulate_serial`] call over the concatenation — every row updates
-/// the same running state in the same order, so even non-associative float
-/// rounding agrees. The out-of-core segment scan depends on this.
-fn accumulate_serial_into<D: DetailSource>(
-    base: &Relation,
-    detail: &D,
+    table: &Table,
+    rows: Range<usize>,
     op: &GmdjOp,
     opts: &EvalOptions,
     acc: &mut Accumulated,
@@ -411,7 +470,8 @@ fn accumulate_serial_into<D: DetailSource>(
         off += block.aggs.iter().map(|a| a.state_width()).sum::<usize>();
     }
 
-    let n_detail = detail.num_rows();
+    let n_detail = rows.len();
+    let detail_row = |i: usize| table.row(rows.start + i);
 
     for (block, &block_off) in op.blocks.iter().zip(&block_offsets) {
         let pairs = analysis::equality_pairs(&block.theta);
@@ -421,35 +481,32 @@ fn accumulate_serial_into<D: DetailSource>(
             LocalStrategy::NestedLoop => false,
         };
 
-        // Compiled batch path: when the detail source is columnar and the
-        // block lowers onto typed kernels, skip the interpreter entirely.
+        // Compiled batch path: when the block lowers onto typed kernels,
+        // skip the interpreter entirely.
         if opts.compiled {
-            if let Some((table, t_start, t_len)) = detail.table_slice() {
-                debug_assert_eq!(t_len, n_detail);
-                if let Some(cb) =
-                    crate::compiled::compile_block(block, base.schema(), table.schema(), use_hash)
-                {
-                    stats.detail_rows_scanned += n_detail as u64;
-                    if use_hash {
-                        stats.blocks_hashed += 1;
-                    } else {
-                        stats.blocks_nested += 1;
-                    }
-                    stats.blocks_compiled += 1;
-                    crate::compiled::run_block(
-                        &cb,
-                        block,
-                        block_off,
-                        base,
-                        table,
-                        t_start,
-                        t_len,
-                        states,
-                        match_counts,
-                        stats,
-                    )?;
-                    continue;
+            if let Some(cb) =
+                crate::compiled::compile_block(block, base.schema(), table.schema(), use_hash)
+            {
+                stats.detail_rows_scanned += n_detail as u64;
+                if use_hash {
+                    stats.blocks_hashed += 1;
+                } else {
+                    stats.blocks_nested += 1;
                 }
+                stats.blocks_compiled += 1;
+                crate::compiled::run_block(
+                    &cb,
+                    block,
+                    block_off,
+                    base,
+                    table,
+                    rows.start,
+                    n_detail,
+                    states,
+                    match_counts,
+                    stats,
+                )?;
+                continue;
             }
         }
 
@@ -463,7 +520,7 @@ fn accumulate_serial_into<D: DetailSource>(
                 Some(e) => {
                     let mut vals = Vec::with_capacity(n_detail);
                     for i in 0..n_detail {
-                        vals.push(eval_detail(e, &detail.get_row(i))?);
+                        vals.push(eval_detail(e, &detail_row(i))?);
                     }
                     arg_vals.push(Some(vals));
                 }
@@ -482,7 +539,7 @@ fn accumulate_serial_into<D: DetailSource>(
 
             let mut key: Row = Vec::with_capacity(detail_key_cols.len());
             for i in 0..n_detail {
-                let r = detail.get_row(i);
+                let r = detail_row(i);
                 key.clear();
                 // NULL keys never join (SQL equality semantics).
                 if detail_key_cols.iter().any(|&c| r[c].is_null()) {
@@ -502,7 +559,7 @@ fn accumulate_serial_into<D: DetailSource>(
         } else {
             stats.blocks_nested += 1;
             for i in 0..n_detail {
-                let r = detail.get_row(i);
+                let r = detail_row(i);
                 for (bi, b) in base.rows().iter().enumerate() {
                     if eval_predicate(&block.theta, b, &r)? {
                         stats.matches += 1;
@@ -517,21 +574,6 @@ fn accumulate_serial_into<D: DetailSource>(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Out-of-core segmented scans with zone-map pruning.
-
-/// Segment-level counters from one out-of-core scan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SegScanStats {
-    /// Segments decoded and evaluated.
-    pub scanned: u64,
-    /// Segments skipped because their zone maps refuted every block's θ.
-    pub pruned: u64,
-    /// Column chunks whose CRC32C was verified during decode (one per
-    /// column of each scanned segment).
-    pub blocks_verified: u64,
-}
-
 /// `true` when the zone maps prove no row of the segment can satisfy the
 /// bounds (every bound is a *necessary* condition on matching rows, so one
 /// refuted bound refutes the whole conjunction).
@@ -544,173 +586,6 @@ fn zones_refute(zones: &[ColumnStats], bounds: &DetailBounds) -> bool {
             .str_eq
             .iter()
             .any(|(c, s)| zones.get(*c).is_some_and(|z| !zone_may_contain_str(z, s)))
-}
-
-/// Accumulate `op` over the segments of `file`, decoding one segment at a
-/// time (peak memory: one segment's read columns + the aggregate states)
-/// and skipping any segment whose zone maps refute every block's
-/// condition. Only the detail columns `op` reads are decoded (every chunk
-/// of a visited segment is still CRC-checked); the operator is rewritten
-/// onto that projection once, while pruning reads the zone maps under the
-/// original indices. `range` limits the scan to a global row window
-/// (fragment addressing for skew splits and failover); segments outside it
-/// are not visited and partially-covered segments are read as a window,
-/// not copied.
-///
-/// Bit-for-bit with the in-memory scan: the window is cut into the same
-/// worker ranges [`accumulate`] would use (one range when the options are
-/// serial), each range's rows feed one *running* state via
-/// [`accumulate_serial_into`] in row order, and ranges merge in the same
-/// order the parallel dispatcher merges its workers. Non-associative float
-/// rounding therefore agrees exactly; pruned segments contribute identity,
-/// which is rounding-neutral.
-fn accumulate_segments(
-    base: &Relation,
-    file: &SegmentFile,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-    prune: bool,
-    range: Option<(usize, usize)>,
-) -> Result<(Accumulated, SegScanStats)> {
-    let bounds: Vec<DetailBounds> = op
-        .blocks
-        .iter()
-        .map(|b| analysis::detail_bounds(&b.theta))
-        .collect();
-    let can_prune = prune && !bounds.is_empty();
-    let (cols, projected) = op.project_detail(file.schema().len())?;
-    let (lo, hi) = range.unwrap_or((0, file.total_rows()));
-    let n = hi.saturating_sub(lo);
-
-    // The same range boundaries accumulate() hands its workers.
-    let par = opts.parallelism.max(1);
-    let chunk = if par == 1 || n < PARALLEL_MIN_ROWS.max(2 * par) {
-        n.max(1)
-    } else {
-        n.div_ceil(par)
-    };
-    let mut accs: Vec<Option<Accumulated>> = std::iter::repeat_with(|| None)
-        .take(n.div_ceil(chunk.max(1)).max(1))
-        .collect();
-    let mut seg = SegScanStats::default();
-
-    for i in 0..file.num_segments() {
-        let meta = file.meta(i);
-        let start = file.segment_row_start(i);
-        let end = start + meta.rows;
-        let (wlo, whi) = (lo.max(start), hi.min(end));
-        if wlo >= whi {
-            continue; // outside the fragment window: not part of this scan
-        }
-        if can_prune && bounds.iter().all(|b| zones_refute(&meta.zones, b)) {
-            seg.pruned += 1;
-            continue;
-        }
-        seg.scanned += 1;
-        let table = file.read_columns(i, &cols)?;
-        // Every column chunk, decoded or skipped, passed its CRC check to
-        // get here.
-        seg.blocks_verified += file.schema().len() as u64;
-        // Feed each worker-range this segment intersects, in row order.
-        let mut pos = wlo;
-        while pos < whi {
-            let ci = (pos - lo) / chunk;
-            let piece_end = whi.min(lo + (ci + 1) * chunk);
-            let piece = RangeView {
-                inner: &table,
-                start: pos - start,
-                len: piece_end - pos,
-            };
-            let acc = accs[ci].get_or_insert_with(|| {
-                (
-                    init_states(base, op),
-                    vec![0u64; base.len()],
-                    EvalStats::default(),
-                )
-            });
-            accumulate_serial_into(base, &piece, &projected, opts, acc)?;
-            pos = piece_end;
-        }
-    }
-
-    // Merge the ranges in worker order, exactly as accumulate() does. All
-    // segments pruned (or none in range): identity states, zero matches.
-    let mut iter = accs.into_iter().flatten();
-    let acc = match iter.next() {
-        None => (
-            init_states(base, op),
-            vec![0u64; base.len()],
-            EvalStats::default(),
-        ),
-        Some(mut a) => {
-            for (pstates, pcounts, pstats) in iter {
-                merge_partial_states(op, &mut a.0, &mut a.1, pstates, &pcounts)?;
-                a.2.detail_rows_scanned += pstats.detail_rows_scanned;
-                a.2.matches += pstats.matches;
-                a.2.blocks_hashed += pstats.blocks_hashed;
-                a.2.blocks_nested += pstats.blocks_nested;
-                a.2.blocks_compiled += pstats.blocks_compiled;
-            }
-            a
-        }
-    };
-    Ok((acc, seg))
-}
-
-/// Segment-backed [`eval_gmdj_sub`]: sub-aggregate state columns computed
-/// out-of-core, with zone-map pruning when `prune` is set. Pruned segments
-/// contribute no matches, so `__rng_count` semantics are unchanged.
-pub fn eval_gmdj_sub_segments(
-    base: &Relation,
-    file: &SegmentFile,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-    prune: bool,
-    range: Option<(usize, usize)>,
-) -> Result<(Relation, EvalStats, SegScanStats)> {
-    let ((states, match_counts, stats), seg) =
-        accumulate_segments(base, file, op, opts, prune, range)?;
-    let rel = shape_sub(base, file.schema(), op, opts, &states, &match_counts)?;
-    Ok((rel, stats, seg))
-}
-
-/// Segment-backed [`eval_gmdj_full`]: finalized output columns computed
-/// out-of-core.
-pub fn eval_gmdj_full_segments(
-    base: &Relation,
-    file: &SegmentFile,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-    prune: bool,
-    range: Option<(usize, usize)>,
-) -> Result<(Relation, EvalStats, SegScanStats)> {
-    let ((states, _, stats), seg) = accumulate_segments(base, file, op, opts, prune, range)?;
-    let rel = shape_full(base, file.schema(), op, &states)?;
-    Ok((rel, stats, seg))
-}
-
-/// Segment-backed [`eval_gmdj_dual`]: both views of one out-of-core pass,
-/// for synchronization-reduced local runs over disk-resident partitions.
-pub fn eval_gmdj_dual_segments(
-    base: &Relation,
-    file: &SegmentFile,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-    prune: bool,
-    range: Option<(usize, usize)>,
-) -> Result<(DualResult, SegScanStats)> {
-    let ((states, match_counts, stats), seg) =
-        accumulate_segments(base, file, op, opts, prune, range)?;
-    let full = shape_full(base, file.schema(), op, &states)?;
-    Ok((
-        DualResult {
-            full,
-            states,
-            match_counts,
-            stats,
-        },
-        seg,
-    ))
 }
 
 fn accumulate_row(
@@ -988,21 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn relation_as_detail_source() {
-        // The coordinator re-aggregates H fragments, which are Relations.
-        let rel = flow().to_relation();
-        let (out, _) = eval_gmdj_full(
-            &base(),
-            &rel,
-            &detail_schema(),
-            &count_sum_op(),
-            &EvalOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(out.len(), 3);
-    }
-
-    #[test]
     fn parallel_evaluation_matches_serial() {
         // Large enough to cross PARALLEL_MIN_ROWS, with float AVG state to
         // exercise partial-state merging.
@@ -1169,23 +1029,6 @@ mod tests {
         assert_eq!(s2.blocks_compiled, 0);
     }
 
-    /// Row-oriented detail sources have no columnar window, so they stay on
-    /// the interpreter even with compilation enabled.
-    #[test]
-    fn relation_detail_never_compiles() {
-        let rel = flow().to_relation();
-        let (_, stats) = eval_gmdj_full(
-            &base(),
-            &rel,
-            &detail_schema(),
-            &count_sum_op(),
-            &EvalOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(stats.blocks_compiled, 0);
-        assert_eq!(stats.blocks_hashed, 1);
-    }
-
     /// Parallel fan-out hands each worker a table window; the compiled path
     /// must count once per worker-block and still merge correctly.
     #[test]
@@ -1293,16 +1136,16 @@ mod tests {
             ..Default::default()
         };
         let (mem, _) = eval_gmdj_sub(&b, &t, &schema, &op, &opts).unwrap();
-        let (seg, _, sc) = eval_gmdj_sub_segments(&b, &file, &op, &opts, true, None).unwrap();
+        let (seg, sc) = eval_gmdj_sub_segments(&b, &file, &op, &opts, true, None).unwrap();
         assert_eq!(seg.sorted(), mem.sorted());
         // nb < 1000 covers segments 0..2 (rows 0..1024): 2 scanned, 8 pruned.
-        assert_eq!(sc.scanned, 2);
-        assert_eq!(sc.pruned, 8);
+        assert_eq!(sc.segments_scanned, 2);
+        assert_eq!(sc.segments_pruned, 8);
         // Pruning off scans everything and still agrees.
-        let (seg2, _, sc2) = eval_gmdj_sub_segments(&b, &file, &op, &opts, false, None).unwrap();
+        let (seg2, sc2) = eval_gmdj_sub_segments(&b, &file, &op, &opts, false, None).unwrap();
         assert_eq!(seg2.sorted(), mem.sorted());
-        assert_eq!(sc2.scanned, 10);
-        assert_eq!(sc2.pruned, 0);
+        assert_eq!(sc2.segments_scanned, 10);
+        assert_eq!(sc2.segments_pruned, 0);
     }
 
     #[test]
@@ -1328,15 +1171,14 @@ mod tests {
         // A window cutting through segment interiors (300..2050).
         let window = t.row_range(300, 2050).unwrap();
         let (mem, _) = eval_gmdj_full(&b, &window, &schema, &op, &opts).unwrap();
-        let (seg, _, sc) =
-            eval_gmdj_full_segments(&b, &file, &op, &opts, true, Some((300, 2050))).unwrap();
-        assert_eq!(seg.sorted(), mem.sorted());
+        let source = ScanSource::of_segments(&file, Some((300, 2050)));
+        let dual_seg = eval_gmdj_dual_source(&b, &source, &op, &opts, true).unwrap();
+        assert_eq!(dual_seg.full.sorted(), mem.sorted());
         // Rows 300..2050 touch segments 1..=8 of 12.
-        assert_eq!(sc.scanned + sc.pruned, 8);
-        // Dual agrees too.
-        let dual_mem = eval_gmdj_dual(&b, &window, &schema, &op, &opts).unwrap();
-        let (dual_seg, _) =
-            eval_gmdj_dual_segments(&b, &file, &op, &opts, true, Some((300, 2050))).unwrap();
+        let sc = dual_seg.stats;
+        assert_eq!(sc.segments_scanned + sc.segments_pruned, 8);
+        let dual_mem =
+            eval_gmdj_dual_source(&b, &ScanSource::of_table(&window), &op, &opts, false).unwrap();
         assert_eq!(dual_seg.full.sorted(), dual_mem.full.sorted());
         assert_eq!(dual_seg.states, dual_mem.states);
         assert_eq!(dual_seg.match_counts, dual_mem.match_counts);
@@ -1379,8 +1221,9 @@ mod tests {
             )]);
             let opts = EvalOptions::default();
             let (mem, _) = eval_gmdj_full(&b, &t, &schema, &op, &opts).unwrap();
-            let (seg, _, _) = eval_gmdj_full_segments(&b, &file, &op, &opts, true, None).unwrap();
-            assert_eq!(seg.sorted(), mem.sorted());
+            let source = ScanSource::of_segments(&file, None);
+            let seg = eval_gmdj_dual_source(&b, &source, &op, &opts, true).unwrap();
+            assert_eq!(seg.full.sorted(), mem.sorted());
         }
     }
 

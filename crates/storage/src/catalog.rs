@@ -5,6 +5,8 @@ use std::sync::Arc;
 
 use skalla_types::{Result, Schema, SkallaError};
 
+use crate::partition::{partition_table_name, PartFrag};
+use crate::scan::ScanSource;
 use crate::segment::SegmentFile;
 use crate::table::Table;
 
@@ -39,16 +41,59 @@ impl Catalog {
         self.tables.insert(name, table);
     }
 
-    /// Look up a table by name. A segment-backed name is materialized in
-    /// full — the compatibility fallback for callers that need the whole
-    /// table; scan paths should check [`Catalog::get_segments`] first and
-    /// stream instead.
+    /// Look up a table by name, materializing a segment-backed one in
+    /// full (every column of every segment, unpruned and uncounted). Two
+    /// callers still need that: a site answering `ShipAllRequest` (the
+    /// ship-everything anti-baseline) and the centralized oracle
+    /// (`eval_expr_centralized`). No site scan may call it; scans read
+    /// through [`Catalog::source`].
     pub fn get(&self, name: &str) -> Result<Arc<Table>> {
         if let Some(t) = self.tables.get(name) {
             return Ok(t.clone());
         }
         if let Some(f) = self.segments.get(name) {
             return Ok(Arc::new(f.read_all()?));
+        }
+        Err(SkallaError::not_found(format!("table `{name}`")))
+    }
+
+    /// The rows a request names, as one [`ScanSource`] — the only place
+    /// that maps a request onto catalog entries. `parts: None` is the
+    /// replication-unaware protocol: every row registered under `name`
+    /// (the site's primary partition). `Some(fs)` names partition
+    /// fragments, registered under their [`partition_table_name`]s (see
+    /// [`crate::replicate_catalogs`]); each contributes its
+    /// [`PartFrag::row_bounds`] window, in list order. Failover uses this
+    /// to hand a dead site's partitions to a surviving replica host, and
+    /// skew-aware splitting to spread a hot partition over several hosts:
+    /// replicas are bit-identical with identical row order, so a fragment
+    /// denotes the same rows on every host. In-memory entries become
+    /// in-place table windows, segment-backed ones segment windows.
+    pub fn source(&self, name: &str, parts: Option<&[PartFrag]>) -> Result<ScanSource<'_>> {
+        let Some(fs) = parts else {
+            return self.whole(name);
+        };
+        let mut frags = fs.iter().map(|f| {
+            let whole = self.whole(&partition_table_name(name, f.part as usize))?;
+            let rows = f.row_bounds(whole.rows());
+            Ok::<_, SkallaError>(whole.narrow(rows))
+        });
+        let mut source = frags
+            .next()
+            .ok_or_else(|| SkallaError::exec("request names an empty fragment list"))??;
+        for frag in frags {
+            source.append(frag?)?;
+        }
+        Ok(source)
+    }
+
+    /// Every row registered under `name`.
+    fn whole(&self, name: &str) -> Result<ScanSource<'_>> {
+        if let Some(t) = self.tables.get(name) {
+            return Ok(ScanSource::of_table(t));
+        }
+        if let Some(f) = self.segments.get(name) {
+            return Ok(ScanSource::of_segments(f, None));
         }
         Err(SkallaError::not_found(format!("table `{name}`")))
     }

@@ -17,7 +17,11 @@
 //!   relation across sites, plus extraction of per-partition value
 //!   constraints (the `φᵢ` fed to the group-reduction analysis).
 //! * [`index`] — hash indexes on key columns.
-//! * [`catalog`] — a name → table map per site.
+//! * [`catalog`] — a name → table map per site, and the one resolution of
+//!   a request's `(name, parts)` into the rows it scans.
+//! * [`scan`] — [`ScanSource`], those rows: a row-ordered list of
+//!   in-memory table windows and segment-file windows, walked by every
+//!   site scan.
 //! * [`sketch`] — per-partition cardinality + space-saving heavy-hitter
 //!   sketches and the hot-partition fragment planner behind skew-aware
 //!   round execution.
@@ -38,6 +42,7 @@ pub mod crc;
 pub mod fault;
 pub mod index;
 pub mod partition;
+pub mod scan;
 pub mod segment;
 pub mod sketch;
 pub mod stats;
@@ -52,6 +57,7 @@ pub use partition::{
     partition_by_hash, partition_by_ranges, partition_by_values, partition_table_name,
     replicate_catalogs, PartFrag, Partitioning, ReplicaMap,
 };
+pub use scan::{Piece, ScanSource};
 pub use segment::{
     projection, write_segments, zone_may_contain_str, zone_may_overlap, SegmentFile, SegmentMeta,
     SegmentWriteSummary, SegmentWriter, DEFAULT_SEGMENT_ROWS,

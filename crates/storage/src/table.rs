@@ -222,7 +222,7 @@ impl Table {
     pub fn distinct_project(&self, indices: &[usize]) -> Result<Relation> {
         let schema = Arc::new(self.schema.project(indices)?);
         let mut distinct = DistinctRows::default();
-        distinct.offer(self, indices);
+        distinct.offer(self, 0..self.len, indices);
         Ok(distinct.into_relation(schema))
     }
 
@@ -259,9 +259,9 @@ impl Table {
 }
 
 /// The distinct rows of a column projection in first-seen order, fed one
-/// table at a time: the one distinct loop behind
-/// [`Table::distinct_project`] and the out-of-core base computation, which
-/// feeds it a decoded segment at a time.
+/// stretch of rows at a time: the one distinct loop behind
+/// [`Table::distinct_project`] and a site's `BASE DISTINCT` scan, which
+/// feeds it each piece of a [`crate::ScanSource`].
 #[derive(Debug, Default)]
 pub struct DistinctRows {
     seen: HashSet<Row>,
@@ -271,11 +271,11 @@ pub struct DistinctRows {
 }
 
 impl DistinctRows {
-    /// Offer every row of `table` projected onto `cols` (which must be in
-    /// range). A key is cloned only when it starts a new group.
-    pub fn offer(&mut self, table: &Table, cols: &[usize]) {
+    /// Offer rows `rows` of `table` projected onto `cols` (which must be
+    /// in range). A key is cloned only when it starts a new group.
+    pub fn offer(&mut self, table: &Table, rows: std::ops::Range<usize>, cols: &[usize]) {
         let cols: Vec<&Column> = cols.iter().map(|&c| &table.columns[c]).collect();
-        for i in 0..table.len {
+        for i in rows {
             self.key.clear();
             self.key.extend(cols.iter().map(|c| c.get(i)));
             if !self.seen.contains(&self.key) {
@@ -481,7 +481,7 @@ mod tests {
         let whole = t.distinct_project(&[1, 0]).unwrap();
         let mut d = DistinctRows::default();
         for (lo, hi) in [(0, 1), (1, 3), (3, 4)] {
-            d.offer(&t.row_range(lo, hi).unwrap(), &[1, 0]);
+            d.offer(&t, lo..hi, &[1, 0]);
         }
         let pieces = d.into_relation(whole.schema().clone());
         assert_eq!(pieces.rows(), whole.rows());

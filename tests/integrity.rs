@@ -180,10 +180,16 @@ fn corrupted_segments_fail_over_bit_exactly() {
             assert_eq!(m.parts_lost, 0, "case {i}");
             assert!(m.checksum_failures > 0, "case {i}: no corruption detected");
             assert!(m.failovers >= 1, "case {i}: corruption without failover");
-            // Clean single-fragment scans stream from disk and count the
-            // blocks their CRCs passed; multi-fragment unions take the
-            // materializing fallback (CRC-checked too, just uncounted),
-            // so the counter is asserted across the whole matrix.
+            // Every scan streams from disk, failover unions included, and
+            // each segment read counts the blocks its CRCs passed.
+            for r in &m.rounds {
+                assert_eq!(
+                    r.blocks_verified,
+                    2 * r.segments_scanned,
+                    "case {i} {}",
+                    r.label
+                );
+            }
             total_verified += m.total_blocks_verified();
         }
     }

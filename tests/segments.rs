@@ -15,10 +15,10 @@ use proptest::prelude::*;
 
 use skalla::expr::Expr;
 use skalla::gmdj::{
-    eval_gmdj_dual, eval_gmdj_dual_segments, eval_gmdj_sub, eval_gmdj_sub_segments, AggSpec,
-    EvalOptions, GmdjBlock, GmdjOp,
+    eval_gmdj_dual_source, eval_gmdj_sub, eval_gmdj_sub_segments, AggSpec, EvalOptions, GmdjBlock,
+    GmdjOp,
 };
-use skalla::storage::{write_segments, SegmentFile, Table};
+use skalla::storage::{write_segments, ScanSource, SegmentFile, Table};
 use skalla::types::{DataType, Relation, Schema, Value};
 
 /// Unique scratch path per proptest case (cases run concurrently).
@@ -241,17 +241,17 @@ proptest! {
             let (mem, _) = eval_gmdj_sub(&base, &table, table.schema(), &op, &opts).unwrap();
             for prune in [false, true] {
                 let ctx = format!("{name} prune {prune}");
-                let (seg, _, sc) =
+                let (seg, sc) =
                     eval_gmdj_sub_segments(&base, &file, &op, &opts, prune, None).unwrap();
                 assert_bits_eq(&seg, &mem, &ctx);
                 prop_assert_eq!(
-                    (sc.scanned + sc.pruned) as usize,
+                    (sc.segments_scanned + sc.segments_pruned) as usize,
                     file.num_segments(),
                     "{}: every segment is either scanned or pruned", ctx
                 );
-                prop_assert_eq!(sc.blocks_verified, 4 * sc.scanned, "{}", ctx);
+                prop_assert_eq!(sc.blocks_verified, 4 * sc.segments_scanned, "{}", ctx);
                 if !prune {
-                    prop_assert_eq!(sc.pruned, 0);
+                    prop_assert_eq!(sc.segments_pruned, 0);
                 }
             }
         }
@@ -283,12 +283,12 @@ proptest! {
 
         for (name, base_cols, op) in op_shapes(t) {
             let base = table.distinct_project(&base_cols).unwrap();
-            let mem = eval_gmdj_dual(&base, &window, table.schema(), &op, &opts).unwrap();
+            let mem = eval_gmdj_dual_source(&base, &ScanSource::of_table(&window), &op, &opts, false)
+                .unwrap();
             for prune in [false, true] {
                 let ctx = format!("{name} prune {prune}: windowed");
-                let (seg, _) =
-                    eval_gmdj_dual_segments(&base, &file, &op, &opts, prune, Some((lo, hi)))
-                        .unwrap();
+                let source = ScanSource::of_segments(&file, Some((lo, hi)));
+                let seg = eval_gmdj_dual_source(&base, &source, &op, &opts, prune).unwrap();
                 assert_bits_eq(&seg.full, &mem.full, &ctx);
                 prop_assert_eq!(&seg.states, &mem.states, "{} states", ctx);
                 prop_assert_eq!(&seg.match_counts, &mem.match_counts, "{} match counts", ctx);
@@ -348,13 +348,16 @@ fn parallel_segmented_scan_is_bit_exact() {
                 let (mem, _) = eval_gmdj_sub(&base, &window, table.schema(), &op, &opts).unwrap();
                 for prune in [false, true] {
                     let ctx = format!("{name} range {range:?} par {par} prune {prune}");
-                    let (seg, _, sc) =
+                    let (seg, sc) =
                         eval_gmdj_sub_segments(&base, &file, &op, &opts, prune, range).unwrap();
                     assert_bits_eq(&seg, &mem, &ctx);
-                    assert_eq!(sc.blocks_verified, 4 * sc.scanned, "{ctx}");
+                    assert_eq!(sc.blocks_verified, 4 * sc.segments_scanned, "{ctx}");
                     // Only these shapes bound `f` in every block.
                     if prune && (name == "filtered" || name == "every") {
-                        assert!(sc.pruned > 0, "{ctx}: f ≤ 640 prunes the later segments");
+                        assert!(
+                            sc.segments_pruned > 0,
+                            "{ctx}: f ≤ 640 prunes the later segments"
+                        );
                     }
                 }
             }
@@ -401,7 +404,7 @@ fn segment_edge_row_counts() {
         let op = filtered_op(1.0);
         let opts = EvalOptions::default();
         let (mem, _) = eval_gmdj_sub(&base, &table, table.schema(), &op, &opts).unwrap();
-        let (seg, _, _) = eval_gmdj_sub_segments(&base, &file, &op, &opts, true, None).unwrap();
+        let (seg, _) = eval_gmdj_sub_segments(&base, &file, &op, &opts, true, None).unwrap();
         assert_eq!(seg.sorted(), mem.sorted(), "n = {n}");
         drop(file);
         std::fs::remove_file(&path).ok();
@@ -592,5 +595,119 @@ fn every_segment_read_is_counted() {
         check(&m, segments, &format!("tiered fanout {fanout}"));
         tiered.shutdown().unwrap();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failover request naming two segment-backed partitions plus a
+/// row-range fragment of a third, with the fragment's edges inside
+/// segments, scans every window out-of-core: a site's answer equals the
+/// in-memory evaluation over the union of the same rows bit for bit, row
+/// order included, serial and parallel, pruned and not, and every segment
+/// read is counted with all of its chunks.
+#[test]
+fn multi_fragment_segment_request_is_projected_pruned_and_counted() {
+    use skalla::core::message::Message;
+    use skalla::core::site::run_site;
+    use skalla::net::{CostModel, SimNetwork};
+    use skalla::prelude::{parse_query, partition_by_hash, Catalog, DistPlan};
+    use skalla::storage::{partition_table_name, PartFrag};
+    const SEG_ROWS: usize = 293;
+
+    let table = parallel_table();
+    let parts = partition_by_hash(&table, 0, 3).unwrap();
+    let dir = std::env::temp_dir().join(format!("skalla-segtest-frags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut catalog = Catalog::new();
+    for (p, part) in parts.parts.iter().enumerate() {
+        let path = dir.join(format!("t-{p}.seg"));
+        write_segments(&path, part, SEG_ROWS).unwrap();
+        let file = std::sync::Arc::new(SegmentFile::open(&path).unwrap());
+        catalog.register_segments(partition_table_name("t", p), file);
+    }
+    let frag = PartFrag {
+        part: 1,
+        frag: 1,
+        of: 3,
+    };
+    let frags = vec![PartFrag::whole(2), PartFrag::whole(0), frag];
+    let (lo, hi) = frag.row_bounds(parts.parts[1].len());
+    assert!(
+        lo % SEG_ROWS != 0 && hi % SEG_ROWS != 0,
+        "edges inside segments"
+    );
+    let union = Table::concat(&[
+        parts.parts[2].clone(),
+        parts.parts[0].clone(),
+        parts.parts[1].row_range(lo, hi).unwrap(),
+    ])
+    .unwrap();
+    let schemas = std::collections::HashMap::from([("t".to_string(), schema())]);
+    let expr = parse_query(
+        "BASE DISTINCT s FROM t;
+         MD COUNT(*) AS n, SUM(f) AS sf WHERE b.s = r.s;
+         MD COUNT(*) AS low, AVG(f) AS af WHERE b.s = r.s AND r.f <= 300;",
+        &schemas,
+    )
+    .unwrap();
+    let base = union.distinct_project(&[2]).unwrap();
+
+    let (_net, mut eps) = SimNetwork::full_mesh(2, CostModel::free());
+    let site_ep = eps.pop().unwrap();
+    let coord = eps.pop().unwrap();
+    let site = std::thread::spawn(move || run_site(site_ep, catalog));
+    let mut epoch = 0;
+    for par in [1, 2] {
+        for prune in [false, true] {
+            epoch += 1;
+            let mut plan = DistPlan::unoptimized(expr.clone());
+            plan.site_parallelism = par;
+            plan.segment_prune = prune;
+            coord
+                .send(1, Message::Plan(plan.clone()).to_wire_framed(epoch, 0))
+                .unwrap();
+            for (k, op) in expr.ops.iter().enumerate() {
+                let ctx = format!("op {k} par {par} prune {prune}");
+                let request = Message::Round {
+                    op_idx: k as u32,
+                    base: base.clone(),
+                    parts: Some(frags.clone()),
+                    task: 0,
+                };
+                coord
+                    .send(1, request.to_wire_framed(epoch, k as u32 + 1))
+                    .unwrap();
+                let env = coord.recv().unwrap();
+                let (_, _, reply) = Message::from_wire_framed(&env.payload).unwrap();
+                let Message::Fragment {
+                    rel,
+                    last,
+                    counters,
+                    ..
+                } = reply
+                else {
+                    panic!("{ctx}: {reply:?}");
+                };
+                assert!(last, "{ctx}: unblocked replies are one chunk");
+                assert!(!plan.rounds[k].site_group_reduction);
+                let opts = EvalOptions {
+                    parallelism: par,
+                    ..Default::default()
+                };
+                let (want, _) = eval_gmdj_sub(&base, &union, union.schema(), op, &opts).unwrap();
+                assert_bits_eq(&rel, &want, &ctx);
+                assert!(counters.segments_scanned > 0, "{ctx}");
+                assert_eq!(
+                    counters.blocks_verified,
+                    4 * counters.segments_scanned,
+                    "{ctx}"
+                );
+                assert_eq!(counters.segments_pruned > 0, prune && k == 1, "{ctx}");
+            }
+        }
+    }
+    coord
+        .send(1, Message::Shutdown.to_wire_framed(epoch, 0))
+        .unwrap();
+    site.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
