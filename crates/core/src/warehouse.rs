@@ -2634,10 +2634,10 @@ mod tests {
         assert_eq!(m.total_bytes(), m.total_bytes_down() + m.total_bytes_up());
         // Groups recorded on the final round equal the result size.
         assert!(m.rounds.last().unwrap().groups > 0);
-        // MD₁ is a pure equi-join: both sites run it through compiled
-        // kernels. MD₂ carries a correlated residual and stays interpreted.
+        // MD₁ is a pure equi-join and MD₂ adds a correlated residual: both
+        // sites run both through compiled kernels.
         assert!(m.total_blocks_compiled() > 0);
-        assert!(m.total_blocks_interpreted() > 0);
+        assert_eq!(m.total_blocks_interpreted(), 0);
         assert!(m.summary().contains("compiled"));
         wh.shutdown().unwrap();
     }

@@ -250,10 +250,100 @@ pub fn gather_i64_rows(rows: &[&[Value]], col: usize, out: &mut Lanes<i64>) {
     }
 }
 
-/// Evaluation context: the current base tuple plus the detail batch.
+/// Evaluation context: where lanes read base and detail columns from.
+///
+/// Batch mode evaluates one base tuple against every row of the batch.
+/// Pair mode evaluates a list of (detail row, base group) pairs: lane `k`
+/// reads batch row `rows[k]` and group `groups[k]` of [`BaseColumns`].
 struct Ctx<'a, 'b> {
-    base: &'a [Value],
+    base: BaseSrc<'a>,
     batch: &'a Batch<'b>,
+    /// Batch row of each lane; `None` when lane `i` is batch row `i`.
+    rows: Option<&'a [u32]>,
+    /// Number of lanes.
+    n: usize,
+}
+
+#[derive(Clone, Copy)]
+enum BaseSrc<'a> {
+    /// One base tuple, broadcast to every lane.
+    Row(&'a [Value]),
+    /// Typed base columns, gathered per lane at these groups.
+    Groups(&'a BaseColumns, &'a [u32]),
+}
+
+/// A base relation as typed columns over its groups, for pair-mode
+/// evaluation ([`CompiledPred::eval_pairs`]): base-side operands are then
+/// per-group constants read by index instead of a `Value` match per pair.
+///
+/// Column `c` holds lanes of the schema's declared type. A value of any
+/// other variant becomes an error lane, which callers resolve through the
+/// interpreter exactly as in batch mode.
+#[derive(Debug, Clone)]
+pub struct BaseColumns {
+    cols: Vec<ScalarLanes>,
+}
+
+impl BaseColumns {
+    /// Lay out `rows` (tuples of `schema`) column by column.
+    pub fn new<'r, I>(rows: I, schema: &Schema) -> BaseColumns
+    where
+        I: IntoIterator<Item = &'r [Value]> + Clone,
+    {
+        let cols = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, f)| {
+                let cells = rows.clone().into_iter().map(move |r| r.get(c));
+                match f.dtype {
+                    DataType::Int64 => ScalarLanes::I64(typed_lanes(cells, 0, |v| match v {
+                        Value::Int(x) => Some(*x),
+                        _ => None,
+                    })),
+                    DataType::Float64 => ScalarLanes::F64(typed_lanes(cells, 0.0, |v| match v {
+                        Value::Float(x) => Some(*x),
+                        _ => None,
+                    })),
+                    DataType::Utf8 => {
+                        ScalarLanes::Str(typed_lanes(cells, Arc::from(""), |v| match v {
+                            Value::Str(s) => Some(s.clone()),
+                            _ => None,
+                        }))
+                    }
+                    DataType::Bool => ScalarLanes::Bool(typed_lanes(cells, false, |v| match v {
+                        Value::Bool(b) => Some(*b),
+                        _ => None,
+                    })),
+                }
+            })
+            .collect();
+        BaseColumns { cols }
+    }
+}
+
+/// One typed lane per cell: `typed` values, NULLs (and missing cells'
+/// placeholders) masked null, anything else an error lane.
+fn typed_lanes<'r, T: Clone>(
+    cells: impl Iterator<Item = Option<&'r Value>>,
+    placeholder: T,
+    typed: impl Fn(&Value) -> Option<T>,
+) -> Lanes<T> {
+    let mut out = Lanes::default();
+    for cell in cells {
+        let (v, null, err) = match cell {
+            Some(Value::Null) => (placeholder.clone(), true, false),
+            Some(v) => match typed(v) {
+                Some(x) => (x, false, false),
+                None => (placeholder.clone(), false, true),
+            },
+            None => (placeholder.clone(), false, true),
+        };
+        out.vals.push(v);
+        out.nulls.push(null);
+        out.errs.push(err);
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -353,9 +443,70 @@ enum BoolKernel {
 // Kernel evaluation
 // ---------------------------------------------------------------------------
 
-fn detail_masks(col: &ColumnBatch<'_>, n: usize) -> (Vec<bool>, Vec<bool>) {
-    let nulls = col.nulls.map_or_else(|| vec![false; n], <[bool]>::to_vec);
-    (nulls, vec![false; n])
+/// Lanes of detail column `c`, whose data is `data` when it has the
+/// expected type: the batch rows as they are, or gathered in pair mode.
+fn detail_lanes<T: Clone>(
+    ctx: &Ctx<'_, '_>,
+    c: usize,
+    data: impl Fn(ColSlice<'_>) -> Option<&[T]>,
+    placeholder: T,
+) -> Lanes<T> {
+    let n = ctx.n;
+    let Some((col, vals)) = ctx
+        .batch
+        .cols
+        .get(c)
+        .and_then(|col| Some((col, data(col.data)?)))
+    else {
+        return Lanes::all_err(placeholder, n);
+    };
+    match ctx.rows {
+        None => Lanes {
+            vals: vals.to_vec(),
+            nulls: col.nulls.map_or_else(|| vec![false; n], <[bool]>::to_vec),
+            errs: vec![false; n],
+        },
+        Some(rows) => Lanes {
+            vals: rows.iter().map(|&r| vals[r as usize].clone()).collect(),
+            nulls: match col.nulls {
+                Some(m) => rows.iter().map(|&r| m[r as usize]).collect(),
+                None => vec![false; n],
+            },
+            errs: vec![false; n],
+        },
+    }
+}
+
+/// Lanes of base column `i`: the base tuple's value broadcast, or in pair
+/// mode each lane's group's value. `row` types a tuple's value (`None` for
+/// a variant other than the compiled type); `col` picks the column's lanes
+/// when they have the compiled type.
+fn base_lanes<T: Clone>(
+    ctx: &Ctx<'_, '_>,
+    i: usize,
+    row: impl Fn(&Value) -> Option<T>,
+    col: impl Fn(&ScalarLanes) -> Option<&Lanes<T>>,
+    placeholder: T,
+) -> Lanes<T> {
+    let n = ctx.n;
+    match ctx.base {
+        BaseSrc::Row(b) => match b.get(i) {
+            Some(Value::Null) => Lanes::all_null(placeholder, n),
+            Some(v) => match row(v) {
+                Some(x) => Lanes::fill(x, n),
+                None => Lanes::all_err(placeholder, n),
+            },
+            None => Lanes::all_err(placeholder, n),
+        },
+        BaseSrc::Groups(cols, groups) => match cols.cols.get(i).and_then(col) {
+            Some(l) => Lanes {
+                vals: groups.iter().map(|&g| l.vals[g as usize].clone()).collect(),
+                nulls: groups.iter().map(|&g| l.nulls[g as usize]).collect(),
+                errs: groups.iter().map(|&g| l.errs[g as usize]).collect(),
+            },
+            None => Lanes::all_err(placeholder, n),
+        },
+    }
 }
 
 /// Lane-wise arithmetic with error (`None`) detection; nulls propagate.
@@ -453,28 +604,31 @@ fn is_null_lanes<T>(l: &Lanes<T>) -> Lanes<bool> {
 
 impl I64Kernel {
     fn eval(&self, ctx: &Ctx<'_, '_>) -> Lanes<i64> {
-        let n = ctx.batch.len;
+        let n = ctx.n;
         match self {
             I64Kernel::Const(x) => Lanes::fill(*x, n),
-            I64Kernel::Base(i) => match ctx.base.get(*i) {
-                Some(Value::Int(x)) => Lanes::fill(*x, n),
-                Some(Value::Null) => Lanes::all_null(0, n),
-                _ => Lanes::all_err(0, n),
-            },
-            I64Kernel::Detail(c) => match ctx.batch.cols.get(*c) {
-                Some(col) => match col.data {
-                    ColSlice::I64(vals) => {
-                        let (nulls, errs) = detail_masks(col, n);
-                        Lanes {
-                            vals: vals.to_vec(),
-                            nulls,
-                            errs,
-                        }
-                    }
-                    _ => Lanes::all_err(0, n),
+            I64Kernel::Base(i) => base_lanes(
+                ctx,
+                *i,
+                |v| match v {
+                    Value::Int(x) => Some(*x),
+                    _ => None,
                 },
-                None => Lanes::all_err(0, n),
-            },
+                |l| match l {
+                    ScalarLanes::I64(l) => Some(l),
+                    _ => None,
+                },
+                0,
+            ),
+            I64Kernel::Detail(c) => detail_lanes(
+                ctx,
+                *c,
+                |d| match d {
+                    ColSlice::I64(v) => Some(v),
+                    _ => None,
+                },
+                0,
+            ),
             I64Kernel::Add(p) => arith(p.0.eval(ctx), p.1.eval(ctx), i64::checked_add),
             I64Kernel::Sub(p) => arith(p.0.eval(ctx), p.1.eval(ctx), i64::checked_sub),
             I64Kernel::Mul(p) => arith(p.0.eval(ctx), p.1.eval(ctx), i64::checked_mul),
@@ -503,28 +657,31 @@ impl I64Kernel {
 
 impl F64Kernel {
     fn eval(&self, ctx: &Ctx<'_, '_>) -> Lanes<f64> {
-        let n = ctx.batch.len;
+        let n = ctx.n;
         match self {
             F64Kernel::Const(x) => Lanes::fill(*x, n),
-            F64Kernel::Base(i) => match ctx.base.get(*i) {
-                Some(Value::Float(x)) => Lanes::fill(*x, n),
-                Some(Value::Null) => Lanes::all_null(0.0, n),
-                _ => Lanes::all_err(0.0, n),
-            },
-            F64Kernel::Detail(c) => match ctx.batch.cols.get(*c) {
-                Some(col) => match col.data {
-                    ColSlice::F64(vals) => {
-                        let (nulls, errs) = detail_masks(col, n);
-                        Lanes {
-                            vals: vals.to_vec(),
-                            nulls,
-                            errs,
-                        }
-                    }
-                    _ => Lanes::all_err(0.0, n),
+            F64Kernel::Base(i) => base_lanes(
+                ctx,
+                *i,
+                |v| match v {
+                    Value::Float(x) => Some(*x),
+                    _ => None,
                 },
-                None => Lanes::all_err(0.0, n),
-            },
+                |l| match l {
+                    ScalarLanes::F64(l) => Some(l),
+                    _ => None,
+                },
+                0.0,
+            ),
+            F64Kernel::Detail(c) => detail_lanes(
+                ctx,
+                *c,
+                |d| match d {
+                    ColSlice::F64(v) => Some(v),
+                    _ => None,
+                },
+                0.0,
+            ),
             F64Kernel::FromI64(k) => {
                 let l = k.eval(ctx);
                 Lanes {
@@ -558,57 +715,62 @@ impl F64Kernel {
 
 impl StrKernel {
     fn eval(&self, ctx: &Ctx<'_, '_>) -> Lanes<Arc<str>> {
-        let n = ctx.batch.len;
         let empty: Arc<str> = Arc::from("");
         match self {
-            StrKernel::Const(s) => Lanes::fill(s.clone(), n),
-            StrKernel::Base(i) => match ctx.base.get(*i) {
-                Some(Value::Str(s)) => Lanes::fill(s.clone(), n),
-                Some(Value::Null) => Lanes::all_null(empty, n),
-                _ => Lanes::all_err(empty, n),
-            },
-            StrKernel::Detail(c) => match ctx.batch.cols.get(*c) {
-                Some(col) => match col.data {
-                    ColSlice::Str(vals) => {
-                        let (nulls, errs) = detail_masks(col, n);
-                        Lanes {
-                            vals: vals.to_vec(),
-                            nulls,
-                            errs,
-                        }
-                    }
-                    _ => Lanes::all_err(empty, n),
+            StrKernel::Const(s) => Lanes::fill(s.clone(), ctx.n),
+            StrKernel::Base(i) => base_lanes(
+                ctx,
+                *i,
+                |v| match v {
+                    Value::Str(s) => Some(s.clone()),
+                    _ => None,
                 },
-                None => Lanes::all_err(empty, n),
-            },
+                |l| match l {
+                    ScalarLanes::Str(l) => Some(l),
+                    _ => None,
+                },
+                empty,
+            ),
+            StrKernel::Detail(c) => detail_lanes(
+                ctx,
+                *c,
+                |d| match d {
+                    ColSlice::Str(v) => Some(v),
+                    _ => None,
+                },
+                empty,
+            ),
         }
     }
 }
 
 impl BoolKernel {
     fn eval(&self, ctx: &Ctx<'_, '_>) -> Lanes<bool> {
-        let n = ctx.batch.len;
+        let n = ctx.n;
         match self {
             BoolKernel::Const(b) => Lanes::fill(*b, n),
-            BoolKernel::Base(i) => match ctx.base.get(*i) {
-                Some(Value::Bool(b)) => Lanes::fill(*b, n),
-                Some(Value::Null) => Lanes::all_null(false, n),
-                _ => Lanes::all_err(false, n),
-            },
-            BoolKernel::Detail(c) => match ctx.batch.cols.get(*c) {
-                Some(col) => match col.data {
-                    ColSlice::Bool(vals) => {
-                        let (nulls, errs) = detail_masks(col, n);
-                        Lanes {
-                            vals: vals.to_vec(),
-                            nulls,
-                            errs,
-                        }
-                    }
-                    _ => Lanes::all_err(false, n),
+            BoolKernel::Base(i) => base_lanes(
+                ctx,
+                *i,
+                |v| match v {
+                    Value::Bool(b) => Some(*b),
+                    _ => None,
                 },
-                None => Lanes::all_err(false, n),
-            },
+                |l| match l {
+                    ScalarLanes::Bool(l) => Some(l),
+                    _ => None,
+                },
+                false,
+            ),
+            BoolKernel::Detail(c) => detail_lanes(
+                ctx,
+                *c,
+                |d| match d {
+                    ColSlice::Bool(v) => Some(v),
+                    _ => None,
+                },
+                false,
+            ),
             BoolKernel::CmpI(op, p) => {
                 cmp_lanes(*op, &p.0.eval(ctx), &p.1.eval(ctx), |a, b| a.cmp(b))
             }
@@ -981,8 +1143,10 @@ impl CompiledScalar {
     /// Evaluate over one batch against the current base tuple.
     pub fn eval_batch(&self, base_row: &[Value], batch: &Batch<'_>) -> ScalarLanes {
         let ctx = Ctx {
-            base: base_row,
+            base: BaseSrc::Row(base_row),
             batch,
+            rows: None,
+            n: batch.len,
         };
         match &self.kernel {
             ScalarKernel::I64(k) => ScalarLanes::I64(k.eval(&ctx)),
@@ -1019,9 +1183,88 @@ impl CompiledPred {
     /// Evaluate over one batch against the current base tuple.
     pub fn eval_batch(&self, base_row: &[Value], batch: &Batch<'_>) -> Lanes<bool> {
         self.kernel.eval(&Ctx {
-            base: base_row,
+            base: BaseSrc::Row(base_row),
             batch,
+            rows: None,
+            n: batch.len,
         })
+    }
+
+    /// Evaluate over (detail row, base group) pairs: lane `k` pairs batch
+    /// row `rows[k]` with group `groups[k]` of `base`. Only the pairs a
+    /// caller names are evaluated, so a hash probe's candidates cost one
+    /// lane each instead of one batch per base tuple.
+    pub fn eval_pairs(
+        &self,
+        base: &BaseColumns,
+        groups: &[u32],
+        batch: &Batch<'_>,
+        rows: &[u32],
+    ) -> Lanes<bool> {
+        debug_assert_eq!(groups.len(), rows.len());
+        self.kernel.eval(&Ctx {
+            base: BaseSrc::Groups(base, groups),
+            batch,
+            rows: Some(rows),
+            n: rows.len(),
+        })
+    }
+
+    /// `true` when no lane of any evaluation can be an error lane, so the
+    /// interpreter raises on no row either: the predicate does no
+    /// arithmetic that can fail (integer overflow, division or modulo by
+    /// zero) and reads no base column (whose values may differ from the
+    /// declared type). Batches are assumed to match the detail schema the
+    /// predicate was compiled against.
+    pub fn infallible(&self) -> bool {
+        !self.kernel.can_err()
+    }
+}
+
+impl I64Kernel {
+    fn can_err(&self) -> bool {
+        !matches!(self, I64Kernel::Const(_) | I64Kernel::Detail(_))
+    }
+}
+
+impl F64Kernel {
+    fn can_err(&self) -> bool {
+        match self {
+            F64Kernel::Const(_) | F64Kernel::Detail(_) => false,
+            F64Kernel::Base(_) | F64Kernel::Div(_) => true,
+            F64Kernel::FromI64(k) => k.can_err(),
+            F64Kernel::Add(p) | F64Kernel::Sub(p) | F64Kernel::Mul(p) => {
+                p.0.can_err() || p.1.can_err()
+            }
+            F64Kernel::Neg(k) => k.can_err(),
+        }
+    }
+}
+
+impl StrKernel {
+    fn can_err(&self) -> bool {
+        matches!(self, StrKernel::Base(_))
+    }
+}
+
+impl BoolKernel {
+    fn can_err(&self) -> bool {
+        match self {
+            BoolKernel::Const(_) | BoolKernel::Detail(_) => false,
+            BoolKernel::Base(_) => true,
+            BoolKernel::CmpI(_, p) => p.0.can_err() || p.1.can_err(),
+            BoolKernel::CmpF(_, p) => p.0.can_err() || p.1.can_err(),
+            BoolKernel::CmpIF(_, p) => p.0.can_err() || p.1.can_err(),
+            BoolKernel::CmpFI(_, p) => p.0.can_err() || p.1.can_err(),
+            BoolKernel::CmpS(_, p) => p.0.can_err() || p.1.can_err(),
+            BoolKernel::CmpB(_, p) | BoolKernel::And(p) | BoolKernel::Or(p) => {
+                p.0.can_err() || p.1.can_err()
+            }
+            BoolKernel::Not(k) | BoolKernel::IsNullB(k) => k.can_err(),
+            BoolKernel::IsNullI(k) | BoolKernel::InSetI(k, _) => k.can_err(),
+            BoolKernel::IsNullF(k) => k.can_err(),
+            BoolKernel::IsNullS(k) | BoolKernel::InSetS(k, _) => k.can_err(),
+        }
     }
 }
 

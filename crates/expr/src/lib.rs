@@ -43,8 +43,8 @@ pub use analysis::{
 };
 pub use builder::ExprBuilder;
 pub use compile::{
-    gather_f64_rows, gather_i64_rows, Batch, ColSlice, ColumnBatch, CompiledPred, CompiledScalar,
-    Lanes, ScalarLanes, BATCH_ROWS,
+    gather_f64_rows, gather_i64_rows, BaseColumns, Batch, ColSlice, ColumnBatch, CompiledPred,
+    CompiledScalar, Lanes, ScalarLanes, BATCH_ROWS,
 };
 pub use eval::{eval, eval_base, eval_detail, eval_predicate};
 pub use expr::{BinOp, Expr, UnOp};

@@ -1,45 +1,128 @@
 //! Compiled batch accumulation for GMDJ blocks.
 //!
-//! When the detail source is (a contiguous window of) a columnar
-//! [`Table`], a block whose condition and aggregate arguments fall inside
-//! the compiled subset of [`skalla_expr::compile`] is evaluated batch-at-a
-//! time: aggregate arguments are lowered to [`CompiledScalar`] programs
+//! A block whose condition and aggregate arguments fall inside the
+//! compiled subset of [`skalla_expr::compile`] is evaluated a batch of
+//! detail rows at a time, over in-memory windows and decoded segments
+//! alike. Aggregate arguments are lowered to [`CompiledScalar`] programs
 //! evaluated once per batch (they are detail-only, so the lanes are shared
-//! across every base tuple), the condition either drives the existing hash
-//! index (pure equi-join) or a [`CompiledPred`] selection bitmap (nested
-//! loop), and matches fold into *typed* per-group accumulators instead of
-//! `Value` state cells. The typed state converts back into the interpreter's
-//! `Vec<Value>` representation at block end, so everything downstream
-//! (merge, finalize, wire shipping) is unchanged.
+//! across every base tuple), and matches fold into *typed* per-group
+//! accumulators instead of `Value` state cells. The condition runs one of
+//! two ways:
 //!
-//! Deferred-error lanes are resolved by re-running the interpreter on just
-//! the flagged rows, which keeps error behaviour (division by zero, SUM
-//! overflow, …) identical to the row-at-a-time path.
+//! * **Hash** — θ has equi-join pairs `b.k = r.j`. The base groups are
+//!   indexed once on their key values; each batch's keys are hashed a
+//!   column at a time straight from its typed lanes, and each row probes
+//!   the index with its hash. What is left of θ (the *residual*) splits
+//!   in two. Its detail-only conjuncts become a per-batch selection that
+//!   drops lanes before the probe. The rest is evaluated only on the
+//!   (detail lane, base group) pairs the probe yields, with base-side
+//!   operands read as per-group constants ([`CompiledPred::eval_pairs`]).
+//! * **Nested loop** — any other θ: a [`CompiledPred`] selection bitmap per
+//!   base tuple over each batch.
+//!
+//! A [`CompiledBlock`] is built once per worker range: the kernels, the
+//! join index and the typed state then run across every piece of the
+//! range, and the state converts into the interpreter's `Vec<Value>` cells
+//! only when the range ends ([`CompiledBlock::write_states`]), so merge,
+//! finalize and wire shipping are unchanged.
+//!
+//! Answers are bit for bit the interpreter's. Each group folds its matches
+//! in detail-row order. A hoisted detail-only conjunct only moves ahead of
+//! residual conjuncts that [`CompiledPred::infallible`] proves cannot
+//! raise. Deferred-error lanes are resolved by re-running the interpreter
+//! on exactly the rows (or probed pairs) they flag, which keeps error
+//! behaviour (division by zero, SUM overflow, …) identical to the
+//! row-at-a-time path; a lane no probe hits never raises.
 
-use skalla_expr::compile::{CompiledPred, CompiledScalar, Lanes, ScalarLanes, BATCH_ROWS};
-use skalla_expr::{analysis, eval_detail, eval_predicate, Expr};
-use skalla_storage::{HashIndex, Table};
-use skalla_types::{total_cmp_f64, DataType, Relation, Result, Row, Schema, SkallaError, Value};
+use std::ops::Range;
 use std::sync::Arc;
+
+use skalla_expr::compile::{
+    BaseColumns, Batch, ColSlice, ColumnBatch, CompiledPred, CompiledScalar, Lanes, ScalarLanes,
+    BATCH_ROWS,
+};
+use skalla_expr::{analysis, eval_detail, eval_predicate, EqualityPair, Expr};
+use skalla_storage::Table;
+use skalla_types::{
+    exact_i64, total_cmp_f64, DataType, Relation, Result, Row, Schema, SkallaError, Value,
+};
 
 use crate::agg::{AggFunc, AggSpec};
 use crate::eval::EvalStats;
 use crate::op::GmdjBlock;
 
-/// One GMDJ block lowered onto the batch path.
+/// One GMDJ block lowered onto the batch path for one worker range: its
+/// kernels, its join index and its typed per-group state.
 pub(crate) struct CompiledBlock {
     /// Per-aggregate compiled argument (`None` for `COUNT(*)`).
     args: Vec<Option<CompiledScalar>>,
+    /// Per-aggregate typed state.
+    accs: Vec<Acc>,
+    /// State-cell offset of each aggregate in a group's `Vec<Value>`.
+    offsets: Vec<usize>,
     plan: Plan,
 }
 
 enum Plan {
-    /// θ is exactly a conjunction of equi-join pairs: probe the base hash
-    /// index with detail keys, no residual to evaluate.
-    Hash { detail_key_cols: Vec<usize> },
+    Hash(Box<HashPlan>),
     /// General θ: evaluate a compiled predicate per base tuple over each
     /// batch.
-    Nested { pred: CompiledPred },
+    Nested {
+        pred: CompiledPred,
+    },
+}
+
+/// θ with equi-join pairs: probe the base groups' key index, then check
+/// the residual on the probed pairs.
+struct HashPlan {
+    /// The base groups by their equi-join key.
+    index: KeyIndex,
+    /// θ minus its equi-join pairs: what the interpreter checks per probed
+    /// pair, and what deferred errors are resolved against.
+    residual: Expr,
+    /// The residual's hoisted detail-only conjuncts, evaluated per batch.
+    filter: Option<CompiledPred>,
+    /// The residual's other conjuncts, evaluated per probed pair.
+    rest: Option<CompiledPred>,
+    /// `rest` can never raise, so a lane the filter makes NULL can be
+    /// dropped before the probe.
+    rest_infallible: bool,
+    /// The base groups as typed columns, read by `rest`.
+    base_cols: Option<BaseColumns>,
+}
+
+/// Rows `rows` of `table`, read in the column order of the operator being
+/// scanned: column `j` is table column `cols[j]`, or column `j` itself
+/// when `cols` is `None` (a segment decoded to just those columns).
+pub(crate) struct Detail<'t> {
+    pub table: &'t Table,
+    pub cols: Option<&'t [usize]>,
+    pub rows: Range<usize>,
+}
+
+impl Detail<'_> {
+    /// Rows `start..start + len` of the stretch as a batch.
+    fn batch(&self, start: usize, len: usize) -> Batch<'_> {
+        let at = self.rows.start + start;
+        match self.cols {
+            None => self.table.batch(at, len),
+            Some(cols) => Batch::new(
+                cols.iter()
+                    .map(|&c| self.table.column(c).batch(at, len))
+                    .collect(),
+                len,
+            ),
+        }
+    }
+
+    /// Row `i` of the stretch, materialized.
+    pub(crate) fn row(&self, i: usize) -> Row {
+        let at = self.rows.start + i;
+        match self.cols {
+            None => self.table.row(at),
+            Some(cols) => cols.iter().map(|&c| self.table.column(c).get(at)).collect(),
+        }
+    }
 }
 
 /// Typed per-group accumulator state for one aggregate. The variant is
@@ -128,63 +211,6 @@ impl Acc {
             }
             _ => return None,
         })
-    }
-
-    /// Seed group `g`'s typed state from the interpreter `Value` cells at
-    /// `state[off..]` — the exact inverse of [`Acc::write_state`] (NULL ⇔
-    /// nothing folded yet). This lets a compiled run *resume* a fold begun
-    /// by an earlier run over a previous chunk of the same detail scan, so
-    /// chunked out-of-core scans reproduce the single-pass left-fold (and
-    /// its float rounding) bit for bit.
-    fn load_state(&mut self, g: usize, state: &[Value], off: usize) {
-        match self {
-            Acc::Count { counts, .. } => {
-                if let Value::Int(c) = state[off] {
-                    counts[g] = c;
-                }
-            }
-            Acc::SumI { sums, seen } => {
-                if let Value::Int(v) = state[off] {
-                    sums[g] = v;
-                    seen[g] = true;
-                }
-            }
-            Acc::SumF { sums, seen } => {
-                if let Value::Float(v) = state[off] {
-                    sums[g] = v;
-                    seen[g] = true;
-                }
-            }
-            Acc::AvgI { sums, counts } => {
-                if let (Value::Int(s), Value::Int(c)) = (&state[off], &state[off + 1]) {
-                    sums[g] = *s;
-                    counts[g] = *c;
-                }
-            }
-            Acc::AvgF { sums, counts } => {
-                if let (Value::Float(s), Value::Int(c)) = (&state[off], &state[off + 1]) {
-                    sums[g] = *s;
-                    counts[g] = *c;
-                }
-            }
-            Acc::MinMaxI { best, seen, .. } => {
-                if let Value::Int(v) = state[off] {
-                    best[g] = v;
-                    seen[g] = true;
-                }
-            }
-            Acc::MinMaxF { best, seen, .. } => {
-                if let Value::Float(v) = state[off] {
-                    best[g] = v;
-                    seen[g] = true;
-                }
-            }
-            Acc::MinMaxS { best, .. } => {
-                if let Value::Str(s) = &state[off] {
-                    best[g] = Some(s.clone());
-                }
-            }
-        }
     }
 
     /// Fold the matched lane `i` of this batch into group `g`. Lanes must
@@ -345,188 +371,553 @@ impl Acc {
     }
 }
 
-/// Try to lower `block` onto the batch path. Returns `None` (interpreter
-/// fallback) when the condition or any aggregate falls outside the compiled
-/// subset — including hash-strategy blocks with a non-trivial residual,
-/// where the interpreter's index-probe path is already the right tool.
+/// The base groups indexed by their equi-join key, probed with keys read
+/// straight from a batch's typed key lanes: an open-addressing table over
+/// the distinct keys. Keys hash and compare by [`Value`]'s rules, whatever
+/// the key width: an integral float is its integer (so `Int(3)` meets
+/// `Float(3.0)` and `-0.0` meets `0`), and NULL never joins.
+struct KeyIndex {
+    /// The detail column of each key part.
+    detail_cols: Vec<usize>,
+    /// The key of each distinct key entry, one cell per key part.
+    keys: Vec<Value>,
+    /// Slot → (key hash, entry + 1), `0` marking an empty slot.
+    slots: Vec<(u64, u32)>,
+    /// The groups of entry `e` are `groups[starts[e]..starts[e + 1]]`, in
+    /// base order.
+    starts: Vec<u32>,
+    groups: Vec<u32>,
+}
+
+const MIX: [u64; 2] = [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344];
+
+/// Multiply and fold the high half of the 128-bit product into the low
+/// half, so every output bit depends on every input bit (foldhash's mix).
+/// Keys come from the scanned data, not an adversary, so no defence
+/// against chosen collisions is needed.
+fn folded_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    p as u64 ^ (p >> 64) as u64
+}
+
+fn mix(h: u64, x: u64) -> u64 {
+    folded_mul(h ^ x ^ MIX[0], MIX[1])
+}
+
+fn word(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn hash_str(h: u64, s: &str) -> u64 {
+    let (bytes, len) = (s.as_bytes(), s.len());
+    let mut h = h ^ 2;
+    let (mut lo, mut hi) = (0, 0);
+    if len >= 8 {
+        let mut at = 0;
+        while len - at > 16 {
+            h = folded_mul(word(bytes, at) ^ MIX[0] ^ h, word(bytes, at + 8) ^ MIX[1]);
+            at += 16;
+        }
+        // The last 9..=16 bytes as two words, overlapping when short.
+        lo = word(bytes, at.min(len - 8));
+        hi = word(bytes, len - 8);
+    } else {
+        for (i, &b) in bytes.iter().enumerate() {
+            lo |= u64::from(b) << (8 * i);
+        }
+    }
+    folded_mul(lo ^ MIX[0] ^ h, hi ^ MIX[1] ^ len as u64)
+}
+
+fn hash_float(h: u64, f: f64) -> u64 {
+    match exact_i64(f) {
+        Some(x) => mix(h, x as u64),
+        None => mix(h ^ 1, f.to_bits()),
+    }
+}
+
+/// `h` extended by key cell `v`; `None` for NULL.
+fn hash_value(h: u64, v: &Value) -> Option<u64> {
+    Some(match v {
+        Value::Null => return None,
+        Value::Int(x) => mix(h, *x as u64),
+        Value::Float(f) => hash_float(h, *f),
+        Value::Str(s) => hash_str(h, s),
+        Value::Bool(b) => mix(h ^ 3, u64::from(*b)),
+    })
+}
+
+/// Row `i` of a typed column batch equals `v` as a [`Value`].
+fn lane_eq(col: &ColumnBatch<'_>, i: usize, v: &Value) -> bool {
+    if col.is_null(i) {
+        return false;
+    }
+    match (col.data, v) {
+        (ColSlice::I64(a), Value::Int(b)) => a[i] == *b,
+        (ColSlice::I64(a), Value::Float(f)) => exact_i64(*f) == Some(a[i]),
+        (ColSlice::F64(a), Value::Float(f)) => total_cmp_f64(a[i], *f).is_eq(),
+        (ColSlice::F64(a), Value::Int(b)) => exact_i64(a[i]) == Some(*b),
+        (ColSlice::Str(a), Value::Str(s)) => *a[i] == **s,
+        (ColSlice::Bool(a), Value::Bool(b)) => a[i] == *b,
+        _ => false,
+    }
+}
+
+impl KeyIndex {
+    /// Index the groups of `base` on the base side of `pairs`.
+    fn build(base: &Relation, pairs: &[EqualityPair]) -> KeyIndex {
+        let cap = (2 * base.len()).next_power_of_two().max(8);
+        let mut index = KeyIndex {
+            detail_cols: pairs.iter().map(|p| p.detail_col).collect(),
+            keys: Vec::new(),
+            slots: vec![(0, 0); cap],
+            starts: Vec::new(),
+            groups: Vec::new(),
+        };
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        for (g, row) in base.rows().iter().enumerate() {
+            let key = pairs.iter().map(|p| &row[p.base_col]);
+            let Some(h) = key.clone().try_fold(0, hash_value) else {
+                continue; // NULL keys never join
+            };
+            let mut s = h as usize & (cap - 1);
+            loop {
+                let (sh, e) = index.slots[s];
+                if e == 0 {
+                    index.slots[s] = (h, members.len() as u32 + 1);
+                    index.keys.extend(key.cloned());
+                    members.push(vec![g as u32]);
+                    break;
+                }
+                let e = e as usize - 1;
+                if sh == h && key.clone().eq(index.entry_key(e)) {
+                    members[e].push(g as u32);
+                    break;
+                }
+                s = (s + 1) & (cap - 1);
+            }
+        }
+        index.starts.push(0);
+        for m in members {
+            index.groups.extend(m);
+            index.starts.push(index.groups.len() as u32);
+        }
+        index
+    }
+
+    fn entry_key(&self, e: usize) -> &[Value] {
+        let w = self.detail_cols.len();
+        &self.keys[e * w..(e + 1) * w]
+    }
+
+    /// Lane `i` of `batch` carries entry `e`'s key.
+    fn lane_has_key(&self, batch: &Batch<'_>, i: usize, e: usize) -> bool {
+        self.detail_cols
+            .iter()
+            .zip(self.entry_key(e))
+            .all(|(&c, v)| lane_eq(&batch.cols[c], i, v))
+    }
+
+    /// The key hash of each lane of `batch`, hashed from its typed key
+    /// lanes a column at a time, and whether the lane's key has no NULL
+    /// part (NULL keys never join).
+    fn hash_batch(&self, batch: &Batch<'_>, hashes: &mut Vec<u64>, keyed: &mut Vec<bool>) {
+        hashes.clear();
+        hashes.resize(batch.len, 0);
+        keyed.clear();
+        keyed.resize(batch.len, true);
+        for &c in &self.detail_cols {
+            let col = &batch.cols[c];
+            if let Some(nulls) = col.nulls {
+                for (k, &null) in keyed.iter_mut().zip(nulls) {
+                    *k &= !null;
+                }
+            }
+            let lanes = hashes.iter_mut();
+            match col.data {
+                ColSlice::I64(v) => lanes.zip(v).for_each(|(h, &x)| *h = mix(*h, x as u64)),
+                ColSlice::F64(v) => lanes.zip(v).for_each(|(h, &f)| *h = hash_float(*h, f)),
+                ColSlice::Str(v) => lanes.zip(v).for_each(|(h, s)| *h = hash_str(*h, s)),
+                ColSlice::Bool(v) => lanes
+                    .zip(v)
+                    .for_each(|(h, &b)| *h = mix(*h ^ 3, u64::from(b))),
+            }
+        }
+    }
+
+    /// The entry whose key lane `i` of `batch` carries, given the lane's
+    /// key hash `h`.
+    fn find(&self, batch: &Batch<'_>, i: usize, h: u64) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut s = h as usize & mask;
+        loop {
+            let (sh, e) = self.slots[s];
+            if e == 0 {
+                return None;
+            }
+            let e = e as usize - 1;
+            if sh == h && self.lane_has_key(batch, i, e) {
+                return Some(e);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// The groups of entry `e`, in base order.
+    fn groups(&self, e: usize) -> &[u32] {
+        &self.groups[self.starts[e] as usize..self.starts[e + 1] as usize]
+    }
+}
+
+/// Try to lower `block` onto the batch path for one scan of `base`.
+/// `pairs` are θ's equi-join pairs when the block runs the hash strategy
+/// (empty for the nested loop); `state_off` is the block's first state
+/// cell. Returns `None` (interpreter fallback) when the condition or any
+/// aggregate falls outside the compiled subset.
 pub(crate) fn compile_block(
     block: &GmdjBlock,
-    base_schema: &Schema,
+    pairs: &[EqualityPair],
+    base: &Relation,
     detail_schema: &Schema,
-    use_hash: bool,
+    state_off: usize,
 ) -> Option<CompiledBlock> {
-    let plan = if use_hash {
-        let pairs = analysis::equality_pairs(&block.theta);
-        let residual = analysis::residual_without_pairs(&block.theta, &pairs);
-        if residual != Expr::lit(true) {
-            return None;
-        }
-        Plan::Hash {
-            detail_key_cols: pairs.iter().map(|p| p.detail_col).collect(),
-        }
-    } else {
+    let base_schema = base.schema();
+    let plan = if pairs.is_empty() {
         Plan::Nested {
             pred: CompiledPred::compile(&block.theta, base_schema, detail_schema)?,
         }
+    } else {
+        Plan::Hash(Box::new(compile_hash(block, pairs, base, detail_schema)?))
     };
 
     let mut args = Vec::with_capacity(block.aggs.len());
-    for spec in &block.aggs {
-        let compiled = match &spec.arg {
-            None => None,
-            Some(e) => {
-                let c = CompiledScalar::compile(e, base_schema, detail_schema)?;
-                // Probe accumulator support with a zero-group instance.
-                Acc::new(spec, Some(c.data_type()), 0)?;
-                Some(c)
-            }
-        };
-        args.push(compiled);
-    }
-    Some(CompiledBlock { args, plan })
-}
-
-/// Run one compiled block over rows `t_start..t_start + t_len` of `table`,
-/// folding matches into `states`/`match_counts` exactly as the interpreter
-/// path would.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_block(
-    cb: &CompiledBlock,
-    block: &GmdjBlock,
-    block_off: usize,
-    base: &Relation,
-    table: &Table,
-    t_start: usize,
-    t_len: usize,
-    states: &mut [Vec<Value>],
-    match_counts: &mut [u64],
-    stats: &mut EvalStats,
-) -> Result<()> {
-    let n_groups = base.len();
+    let mut accs = Vec::with_capacity(block.aggs.len());
     let mut offsets = Vec::with_capacity(block.aggs.len());
-    let mut off = block_off;
+    let mut off = state_off;
     for spec in &block.aggs {
+        let arg = match &spec.arg {
+            None => None,
+            Some(e) => Some(CompiledScalar::compile(e, base_schema, detail_schema)?),
+        };
+        accs.push(Acc::new(
+            spec,
+            arg.as_ref().map(CompiledScalar::data_type),
+            base.len(),
+        )?);
+        args.push(arg);
         offsets.push(off);
         off += spec.state_width();
     }
-    let mut accs: Vec<Acc> = Vec::with_capacity(block.aggs.len());
-    for (spec, arg) in block.aggs.iter().zip(&cb.args) {
-        let acc = Acc::new(spec, arg.as_ref().map(CompiledScalar::data_type), n_groups)
-            .ok_or_else(|| SkallaError::exec("compiled block lost accumulator support"))?;
-        accs.push(acc);
-    }
-    // Resume from whatever the caller already accumulated (identity on the
-    // first chunk): out-of-core scans feed a segment at a time through the
-    // same running state, which must continue the single-pass fold exactly.
-    for (g, state) in states.iter().enumerate() {
-        for (acc, &o) in accs.iter_mut().zip(&offsets) {
-            acc.load_state(g, state, o);
-        }
-    }
+    Some(CompiledBlock {
+        args,
+        accs,
+        offsets,
+        plan,
+    })
+}
 
-    let index = match &cb.plan {
-        Plan::Hash { .. } => {
-            let pairs = analysis::equality_pairs(&block.theta);
-            let base_key_cols: Vec<usize> = pairs.iter().map(|p| p.base_col).collect();
-            Some(HashIndex::build_from_rows(
-                base.rows().iter(),
-                &base_key_cols,
-            ))
+/// Split the residual and index the base groups. A detail-only conjunct
+/// is hoisted into the per-batch filter only when every conjunct it moves
+/// ahead of is infallible, so dropping a lane the filter rejects never
+/// hides an error the interpreter would raise.
+fn compile_hash(
+    block: &GmdjBlock,
+    pairs: &[EqualityPair],
+    base: &Relation,
+    detail_schema: &Schema,
+) -> Option<HashPlan> {
+    let base_schema = base.schema();
+    let residual = analysis::residual_without_pairs(&block.theta, pairs);
+    let (mut hoisted, mut rest) = (Vec::new(), Vec::new());
+    let mut rest_infallible = true;
+    if residual != Expr::lit(true) {
+        for c in analysis::conjuncts(&residual) {
+            let k = CompiledPred::compile(c, base_schema, detail_schema)?;
+            if c.is_detail_only() && rest_infallible {
+                hoisted.push(c.clone());
+            } else {
+                rest_infallible &= k.infallible();
+                rest.push(c.clone());
+            }
         }
-        Plan::Nested { .. } => None,
+    }
+    let conjunction = |cs: Vec<Expr>| match cs.is_empty() {
+        true => Some(None),
+        false => {
+            CompiledPred::compile(&Expr::conjunction(cs), base_schema, detail_schema).map(Some)
+        }
     };
+    let filter = conjunction(hoisted)?;
+    let rest = conjunction(rest)?;
 
-    let empty_base: Row = Vec::new();
-    let mut key: Row = Vec::new();
-    let mut start = 0;
-    while start < t_len {
-        let len = BATCH_ROWS.min(t_len - start);
-        let batch = table.batch(t_start + start, len);
+    let base_cols = rest
+        .is_some()
+        .then(|| BaseColumns::new(base.rows().iter().map(Vec::as_slice), base_schema));
+    Some(HashPlan {
+        index: KeyIndex::build(base, pairs),
+        residual,
+        filter,
+        rest,
+        rest_infallible,
+        base_cols,
+    })
+}
 
-        // Aggregate arguments are detail-only: one evaluation per batch,
-        // shared across every base tuple. Error lanes resolve through the
-        // interpreter so e.g. division-by-zero surfaces identically (the
-        // row-at-a-time path evaluates arguments for *all* detail rows up
-        // front, matched or not).
-        let mut arg_lanes: Vec<Option<ScalarLanes>> = Vec::with_capacity(cb.args.len());
-        for (spec, compiled) in block.aggs.iter().zip(&cb.args) {
-            match compiled {
-                None => arg_lanes.push(None),
-                Some(c) => {
-                    let mut lanes = c.eval_batch(&empty_base, &batch);
-                    if lanes.has_errs() {
-                        let e = spec.arg.as_ref().expect("compiled arg implies expr");
-                        for i in 0..len {
-                            if lanes.is_err(i) {
-                                let v = eval_detail(e, &table.row(t_start + start + i))?;
-                                lanes.set(i, &v)?;
-                            }
-                        }
-                    }
-                    arg_lanes.push(Some(lanes));
-                }
-            }
-        }
+/// How a probed pair's residual is decided.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// The filter is TRUE: the pair matches when `rest` does.
+    Rest,
+    /// The filter is NULL: the pair never matches, but `rest` may still
+    /// raise.
+    NoMatch,
+    /// The filter deferred an error: the interpreter decides.
+    Interpret,
+}
 
-        match &cb.plan {
-            Plan::Hash { detail_key_cols } => {
-                let index = index.as_ref().expect("hash plan has index");
-                for i in 0..len {
-                    // NULL keys never join (SQL equality semantics).
-                    if detail_key_cols.iter().any(|&c| batch.cols[c].is_null(i)) {
-                        continue;
-                    }
-                    key.clear();
-                    key.extend(detail_key_cols.iter().map(|&c| batch.cols[c].value(i)));
-                    for &bi in index.get(&key) {
-                        let bi = bi as usize;
-                        stats.matches += 1;
-                        match_counts[bi] += 1;
-                        for (acc, lanes) in accs.iter_mut().zip(&arg_lanes) {
-                            acc.accumulate(bi, lanes.as_ref(), i)?;
-                        }
-                    }
-                }
-            }
-            Plan::Nested { pred } => {
-                for (bi, b) in base.rows().iter().enumerate() {
-                    let mut sel: Lanes<bool> = pred.eval_batch(b, &batch);
-                    // Resolve deferred errors with the interpreter, which
-                    // also applies its short-circuit semantics exactly.
-                    if sel.has_errs() {
-                        for i in 0..len {
-                            if sel.errs[i] {
-                                let hit = eval_predicate(
-                                    &block.theta,
-                                    b,
-                                    &table.row(t_start + start + i),
-                                )?;
-                                sel.vals[i] = hit;
-                                sel.nulls[i] = false;
-                                sel.errs[i] = false;
-                            }
-                        }
-                    }
-                    for i in 0..len {
-                        if sel.ok(i) && sel.vals[i] {
-                            stats.matches += 1;
-                            match_counts[bi] += 1;
-                            for (acc, lanes) in accs.iter_mut().zip(&arg_lanes) {
-                                acc.accumulate(bi, lanes.as_ref(), i)?;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        start += len;
+/// Probe scratch reused across a stretch's batches: the batch's key
+/// hashes, the hash and entry the last probe found, and the probed
+/// (detail lane, base group) pairs awaiting `rest`, in probe order.
+#[derive(Default)]
+struct Probed {
+    hashes: Vec<u64>,
+    keyed: Vec<bool>,
+    last: Option<(u64, usize)>,
+    rows: Vec<u32>,
+    groups: Vec<u32>,
+    pass: Vec<Pass>,
+}
+
+/// One batch of a stretch, with its aggregate argument lanes.
+struct BatchCtx<'a, 't> {
+    base: &'a Relation,
+    detail: &'a Detail<'t>,
+    batch: &'a Batch<'a>,
+    /// The batch's first row within the stretch.
+    start: usize,
+    arg_lanes: &'a [Option<ScalarLanes>],
+}
+
+impl BatchCtx<'_, '_> {
+    /// Decide the residual of group `g` with batch lane `i` through the
+    /// interpreter.
+    fn interpret(&self, h: &HashPlan, g: usize, i: usize) -> Result<bool> {
+        eval_predicate(
+            &h.residual,
+            &self.base.rows()[g],
+            &self.detail.row(self.start + i),
+        )
     }
+}
 
-    // Convert typed state back into the interpreter's Value cells.
-    for (g, state) in states.iter_mut().enumerate() {
-        for (acc, &o) in accs.iter().zip(&offsets) {
-            acc.write_state(g, state, o);
-        }
+/// Fold batch lane `i`, whose aggregate arguments are `arg_lanes`, into
+/// group `g`, which it matched.
+fn fold_match(
+    arg_lanes: &[Option<ScalarLanes>],
+    accs: &mut [Acc],
+    match_counts: &mut [u64],
+    stats: &mut EvalStats,
+    g: usize,
+    i: usize,
+) -> Result<()> {
+    stats.matches += 1;
+    match_counts[g] += 1;
+    for (acc, lanes) in accs.iter_mut().zip(arg_lanes) {
+        acc.accumulate(g, lanes.as_ref(), i)?;
     }
     Ok(())
+}
+
+impl HashPlan {
+    /// Probe one batch and fold its matches in lane order. Without a
+    /// `rest` each probed pair is decided on the spot; with one, pairs are
+    /// buffered and decided a buffer at a time by the pair kernel.
+    fn probe(
+        &self,
+        ctx: &BatchCtx<'_, '_>,
+        scratch: &mut Probed,
+        accs: &mut [Acc],
+        match_counts: &mut [u64],
+        stats: &mut EvalStats,
+    ) -> Result<()> {
+        let filter = self.filter.as_ref().map(|f| f.eval_batch(&[], ctx.batch));
+        self.index
+            .hash_batch(ctx.batch, &mut scratch.hashes, &mut scratch.keyed);
+        for i in 0..ctx.batch.len {
+            let pass = match &filter {
+                None => Pass::Rest,
+                Some(f) if f.errs[i] => Pass::Interpret,
+                Some(f) if f.nulls[i] && self.rest_infallible => continue,
+                Some(f) if f.nulls[i] => Pass::NoMatch,
+                Some(f) if !f.vals[i] => continue,
+                Some(_) => Pass::Rest,
+            };
+            if !scratch.keyed[i] {
+                continue;
+            }
+            // Consecutive rows often share a key (an order's lines, one
+            // nation's rows at a site): then the table lookup is skipped.
+            let h = scratch.hashes[i];
+            let e = match scratch.last {
+                Some((lh, e)) if lh == h && self.index.lane_has_key(ctx.batch, i, e) => e,
+                _ => match self.index.find(ctx.batch, i, h) {
+                    Some(e) => e,
+                    None => continue,
+                },
+            };
+            scratch.last = Some((h, e));
+            for &g in self.index.groups(e) {
+                if self.rest.is_none() {
+                    // No rest, so no NULL filter lanes reach here either.
+                    if pass == Pass::Rest || ctx.interpret(self, g as usize, i)? {
+                        fold_match(ctx.arg_lanes, accs, match_counts, stats, g as usize, i)?;
+                    }
+                    continue;
+                }
+                scratch.rows.push(i as u32);
+                scratch.groups.push(g);
+                if self.filter.is_some() {
+                    scratch.pass.push(pass);
+                }
+            }
+            if scratch.rows.len() >= BATCH_ROWS {
+                self.fold_probed(ctx, scratch, accs, match_counts, stats)?;
+            }
+        }
+        self.fold_probed(ctx, scratch, accs, match_counts, stats)
+    }
+
+    /// Decide and fold the buffered pairs in probe order, then clear them.
+    /// A pair the kernels cannot decide — the filter or `rest` flagged an
+    /// error — is decided by the interpreter on exactly that pair, which
+    /// raises exactly when the interpreter's hash path would.
+    fn fold_probed(
+        &self,
+        ctx: &BatchCtx<'_, '_>,
+        probed: &mut Probed,
+        accs: &mut [Acc],
+        match_counts: &mut [u64],
+        stats: &mut EvalStats,
+    ) -> Result<()> {
+        let (Some(rest), Some(cols)) = (&self.rest, &self.base_cols) else {
+            return Ok(());
+        };
+        let sel = rest.eval_pairs(cols, &probed.groups, ctx.batch, &probed.rows);
+        for k in 0..probed.rows.len() {
+            let (i, g) = (probed.rows[k] as usize, probed.groups[k] as usize);
+            // Without a filter every probed pair passed it.
+            let hit = match probed.pass.get(k).copied().unwrap_or(Pass::Rest) {
+                Pass::Interpret => ctx.interpret(self, g, i)?,
+                _ if sel.errs[k] => ctx.interpret(self, g, i)?,
+                Pass::Rest => !sel.nulls[k] && sel.vals[k],
+                Pass::NoMatch => false,
+            };
+            if hit {
+                fold_match(ctx.arg_lanes, accs, match_counts, stats, g, i)?;
+            }
+        }
+        probed.rows.clear();
+        probed.groups.clear();
+        probed.pass.clear();
+        Ok(())
+    }
+}
+
+impl CompiledBlock {
+    /// `true` when the block runs the hash strategy.
+    pub(crate) fn is_hash(&self) -> bool {
+        matches!(self.plan, Plan::Hash(_))
+    }
+
+    /// Fold every row of `detail` into the typed state, continuing from
+    /// it: feeding a scan in consecutive stretches is bit-identical to one
+    /// call over their concatenation. `match_counts` counts θ-matches per
+    /// base group.
+    pub(crate) fn run(
+        &mut self,
+        block: &GmdjBlock,
+        base: &Relation,
+        detail: &Detail<'_>,
+        match_counts: &mut [u64],
+        stats: &mut EvalStats,
+    ) -> Result<()> {
+        let n = detail.rows.len();
+        let mut scratch = Probed::default();
+        let mut start = 0;
+        while start < n {
+            let len = BATCH_ROWS.min(n - start);
+            let batch = detail.batch(start, len);
+
+            // Aggregate arguments are detail-only: one evaluation per batch,
+            // shared across every base tuple. Error lanes resolve through the
+            // interpreter so e.g. division-by-zero surfaces identically (the
+            // row-at-a-time path evaluates arguments for *all* detail rows up
+            // front, matched or not).
+            let mut arg_lanes: Vec<Option<ScalarLanes>> = Vec::with_capacity(self.args.len());
+            for (spec, compiled) in block.aggs.iter().zip(&self.args) {
+                match compiled {
+                    None => arg_lanes.push(None),
+                    Some(c) => {
+                        let mut lanes = c.eval_batch(&[], &batch);
+                        if lanes.has_errs() {
+                            let e = spec.arg.as_ref().expect("compiled arg implies expr");
+                            for i in 0..len {
+                                if lanes.is_err(i) {
+                                    lanes.set(i, &eval_detail(e, &detail.row(start + i))?)?;
+                                }
+                            }
+                        }
+                        arg_lanes.push(Some(lanes));
+                    }
+                }
+            }
+
+            match &self.plan {
+                Plan::Hash(h) => {
+                    let ctx = BatchCtx {
+                        base,
+                        detail,
+                        batch: &batch,
+                        start,
+                        arg_lanes: &arg_lanes,
+                    };
+                    h.probe(&ctx, &mut scratch, &mut self.accs, match_counts, stats)?;
+                }
+                Plan::Nested { pred } => {
+                    for (bi, b) in base.rows().iter().enumerate() {
+                        let mut sel: Lanes<bool> = pred.eval_batch(b, &batch);
+                        // Resolve deferred errors with the interpreter, which
+                        // also applies its short-circuit semantics exactly.
+                        if sel.has_errs() {
+                            for i in 0..len {
+                                if sel.errs[i] {
+                                    let r = detail.row(start + i);
+                                    sel.vals[i] = eval_predicate(&block.theta, b, &r)?;
+                                    sel.nulls[i] = false;
+                                    sel.errs[i] = false;
+                                }
+                            }
+                        }
+                        for i in 0..len {
+                            if sel.ok(i) && sel.vals[i] {
+                                fold_match(&arg_lanes, &mut self.accs, match_counts, stats, bi, i)?;
+                            }
+                        }
+                    }
+                }
+            }
+            start += len;
+        }
+        Ok(())
+    }
+
+    /// Convert the typed state into the interpreter's `Value` cells of
+    /// each group's state row.
+    pub(crate) fn write_states(&self, states: &mut [Vec<Value>]) {
+        for (g, state) in states.iter_mut().enumerate() {
+            for (acc, &o) in self.accs.iter().zip(&self.offsets) {
+                acc.write_state(g, state, o);
+            }
+        }
+    }
 }

@@ -24,7 +24,6 @@
 //! a segment file, or a site's union of partition windows over both —
 //! through one loop, so where the rows live never changes an answer.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use skalla_expr::{analysis, eval_detail, eval_predicate, DetailBounds, Expr};
@@ -32,6 +31,7 @@ use skalla_storage::segment::{zone_may_contain_str, zone_may_overlap, SegmentFil
 use skalla_storage::{ColumnStats, HashIndex, Piece, ScanSource, Table};
 use skalla_types::{DataType, Field, Relation, Result, Row, Schema, Value};
 
+use crate::compiled::{compile_block, CompiledBlock, Detail};
 use crate::op::{GmdjOp, MATCH_COUNT_COL};
 
 /// Strategy selection for one GMDJ block.
@@ -323,16 +323,16 @@ type Accumulated = (Vec<Vec<Value>>, Vec<u64>, EvalStats);
 /// The rows are cut into worker ranges — one when the options are serial
 /// or the source is too small to amortize a fan-out, else `parallelism`
 /// equal ranges, each on its own thread with private state. A range walks
-/// its pieces in row order through one *running* state
-/// ([`accumulate_rows`]): in-memory windows in place with `op`, segments
-/// decoded to the columns `op` reads ([`GmdjOp::project_detail`]) with
-/// `op` rewritten onto them, and — under `prune` — segments whose zone
-/// maps refute every block skipped unread. Ranges then merge in worker
-/// order. The fold order depends only on the row order and the range
-/// cuts, never on where the rows live, so a table, its segment file and
-/// any union of windows over them agree bit for bit, non-associative
-/// float rounding included; pruned segments contribute identity, which
-/// is rounding-neutral.
+/// its pieces in row order through one running [`Fold`], built once per
+/// range: `op` is rewritten onto the columns it reads
+/// ([`GmdjOp::project_detail`]), in-memory windows are read in place
+/// through that projection, segments are decoded to just those columns,
+/// and — under `prune` — segments whose zone maps refute every block are
+/// skipped unread. Ranges then merge in worker order. The fold order
+/// depends only on the row order and the range cuts, never on where the
+/// rows live, so a table, its segment file and any union of windows over
+/// them agree bit for bit, non-associative float rounding included;
+/// pruned segments contribute identity, which is rounding-neutral.
 ///
 /// A segment straddling two ranges is read once by each, and each read
 /// is counted; at `parallelism` 1 every visited segment is read once.
@@ -355,6 +355,7 @@ fn accumulate(
         !bounds.is_empty() && bounds.iter().all(|b| zones_refute(&meta.zones, b))
     };
     let (cols, projected) = op.project_detail(source.schema().len())?;
+    let detail_schema = source.schema().project(&cols)?;
     let n = source.rows();
     let par = opts.parallelism.max(1);
     let chunk = if par == 1 || n < PARALLEL_MIN_ROWS.max(2 * par) {
@@ -363,22 +364,24 @@ fn accumulate(
         n.div_ceil(par)
     };
     let scan_range = |lo: usize| -> Result<Accumulated> {
-        let mut acc = (
-            init_states(base, op),
-            vec![0u64; base.len()],
-            EvalStats::default(),
-        );
+        let mut fold = Fold::new(base, &projected, &detail_schema, opts);
         source.scan(lo..n.min(lo + chunk), &cols, refuted, |piece| {
-            acc.2.count(&piece);
+            fold.stats.count(&piece);
             match piece {
-                Piece::Table(t, rows) => accumulate_rows(base, t, rows, op, opts, &mut acc),
-                Piece::Segment(t, rows, _) => {
-                    accumulate_rows(base, t, rows, &projected, opts, &mut acc)
-                }
+                Piece::Table(table, rows) => fold.feed(&Detail {
+                    table,
+                    cols: Some(&cols),
+                    rows,
+                }),
+                Piece::Segment(table, rows, _) => fold.feed(&Detail {
+                    table,
+                    cols: None,
+                    rows,
+                }),
                 Piece::Pruned => Ok(()),
             }
         })?;
-        Ok(acc)
+        Ok(fold.finish())
     };
     let starts: Vec<usize> = (0..n.max(1)).step_by(chunk).collect();
     let partials: Vec<Result<Accumulated>> = if starts.len() == 1 {
@@ -447,131 +450,189 @@ fn init_states(base: &Relation, op: &GmdjOp) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Accumulate rows `rows` of `table` into `acc`, continuing from its
-/// state. Feeding a scan through this in consecutive stretches is
-/// *bit-identical* to one call over their concatenation — every row
-/// updates the same running state in the same order, so even
-/// non-associative float rounding agrees. [`accumulate`] depends on this.
-fn accumulate_rows(
-    base: &Relation,
-    table: &Table,
-    rows: Range<usize>,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-    acc: &mut Accumulated,
-) -> Result<()> {
-    let (states, match_counts, stats) = acc;
+/// How one block runs over a worker range.
+enum BlockFold {
+    /// Lowered onto compiled kernels, with typed state.
+    Compiled(Box<CompiledBlock>),
+    /// Interpreted, probing an index of the base groups with each detail
+    /// row and checking `residual` (absent when θ is only the pairs) per
+    /// candidate.
+    Hash {
+        detail_key_cols: Vec<usize>,
+        residual: Option<Expr>,
+        index: HashIndex,
+    },
+    /// Interpreted, testing θ on every (base, detail) pair.
+    Nested,
+}
 
-    // State-column offset of each block's first aggregate.
-    let mut block_offsets = Vec::with_capacity(op.blocks.len());
-    let mut off = 0;
-    for block in &op.blocks {
-        block_offsets.push(off);
-        off += block.aggs.iter().map(|a| a.state_width()).sum::<usize>();
+/// One worker range's running accumulation of an operator: each block's
+/// strategy, join index and compiled kernels are set up once, then every
+/// piece of the range folds into the same state. Feeding a scan in
+/// consecutive stretches is *bit-identical* to one call over their
+/// concatenation — every row updates the same running state in the same
+/// order, so even non-associative float rounding agrees. [`accumulate`]
+/// depends on this.
+struct Fold<'a> {
+    base: &'a Relation,
+    op: &'a GmdjOp,
+    /// Per block: how it runs, and the state offset of its first aggregate.
+    blocks: Vec<(BlockFold, usize)>,
+    states: Vec<Vec<Value>>,
+    match_counts: Vec<u64>,
+    stats: EvalStats,
+    /// Whether any rows were fed (a range whose segments were all pruned
+    /// evaluates no block).
+    fed: bool,
+}
+
+impl<'a> Fold<'a> {
+    /// Set up `op` (over detail rows of `detail_schema`) for one range.
+    fn new(
+        base: &'a Relation,
+        op: &'a GmdjOp,
+        detail_schema: &Schema,
+        opts: &EvalOptions,
+    ) -> Fold<'a> {
+        let mut blocks = Vec::with_capacity(op.blocks.len());
+        let mut off = 0;
+        for block in &op.blocks {
+            let pairs = match opts.strategy {
+                LocalStrategy::Auto | LocalStrategy::Hash => analysis::equality_pairs(&block.theta),
+                LocalStrategy::NestedLoop => Vec::new(),
+            };
+            let compiled = opts
+                .compiled
+                .then(|| compile_block(block, &pairs, base, detail_schema, off))
+                .flatten();
+            let fold = match compiled {
+                Some(cb) => BlockFold::Compiled(Box::new(cb)),
+                None if pairs.is_empty() => BlockFold::Nested,
+                None => {
+                    let base_key_cols: Vec<usize> = pairs.iter().map(|p| p.base_col).collect();
+                    let residual = analysis::residual_without_pairs(&block.theta, &pairs);
+                    BlockFold::Hash {
+                        detail_key_cols: pairs.iter().map(|p| p.detail_col).collect(),
+                        residual: (residual != Expr::lit(true)).then_some(residual),
+                        index: HashIndex::build_from_rows(base.rows().iter(), &base_key_cols),
+                    }
+                }
+            };
+            blocks.push((fold, off));
+            off += block.aggs.iter().map(|a| a.state_width()).sum::<usize>();
+        }
+        Fold {
+            base,
+            op,
+            blocks,
+            states: init_states(base, op),
+            match_counts: vec![0; base.len()],
+            stats: EvalStats::default(),
+            fed: false,
+        }
     }
 
-    let n_detail = rows.len();
-    let detail_row = |i: usize| table.row(rows.start + i);
-
-    for (block, &block_off) in op.blocks.iter().zip(&block_offsets) {
-        let pairs = analysis::equality_pairs(&block.theta);
-        let use_hash = match opts.strategy {
-            LocalStrategy::Auto => !pairs.is_empty(),
-            LocalStrategy::Hash => !pairs.is_empty(),
-            LocalStrategy::NestedLoop => false,
-        };
-
-        // Compiled batch path: when the block lowers onto typed kernels,
-        // skip the interpreter entirely.
-        if opts.compiled {
-            if let Some(cb) =
-                crate::compiled::compile_block(block, base.schema(), table.schema(), use_hash)
-            {
-                stats.detail_rows_scanned += n_detail as u64;
-                if use_hash {
-                    stats.blocks_hashed += 1;
-                } else {
-                    stats.blocks_nested += 1;
-                }
-                stats.blocks_compiled += 1;
-                crate::compiled::run_block(
-                    &cb,
-                    block,
-                    block_off,
-                    base,
-                    table,
-                    rows.start,
-                    n_detail,
-                    states,
-                    match_counts,
-                    stats,
-                )?;
-                continue;
-            }
-        }
-
-        // Precompute per-detail-row argument values for each aggregate in
-        // the block (arguments are detail-only, so this is shared across all
-        // matching base tuples).
-        let mut arg_vals: Vec<Option<Vec<Value>>> = Vec::with_capacity(block.aggs.len());
-        for spec in &block.aggs {
-            match &spec.arg {
-                None => arg_vals.push(None),
-                Some(e) => {
-                    let mut vals = Vec::with_capacity(n_detail);
-                    for i in 0..n_detail {
-                        vals.push(eval_detail(e, &detail_row(i))?);
-                    }
-                    arg_vals.push(Some(vals));
-                }
-            }
-        }
-
-        stats.detail_rows_scanned += n_detail as u64;
-
-        if use_hash {
-            stats.blocks_hashed += 1;
-            let base_key_cols: Vec<usize> = pairs.iter().map(|p| p.base_col).collect();
-            let detail_key_cols: Vec<usize> = pairs.iter().map(|p| p.detail_col).collect();
-            let residual = analysis::residual_without_pairs(&block.theta, &pairs);
-            let skip_residual = residual == Expr::lit(true);
-            let index = HashIndex::build_from_rows(base.rows().iter(), &base_key_cols);
-
-            let mut key: Row = Vec::with_capacity(detail_key_cols.len());
-            for i in 0..n_detail {
-                let r = detail_row(i);
-                key.clear();
-                // NULL keys never join (SQL equality semantics).
-                if detail_key_cols.iter().any(|&c| r[c].is_null()) {
+    /// Accumulate every row of `detail`, continuing from the running state.
+    fn feed(&mut self, detail: &Detail<'_>) -> Result<()> {
+        self.fed = true;
+        let base = self.base;
+        let n_detail = detail.rows.len();
+        for (block, (fold, block_off)) in self.op.blocks.iter().zip(&mut self.blocks) {
+            self.stats.detail_rows_scanned += n_detail as u64;
+            let (index, detail_key_cols, residual) = match fold {
+                BlockFold::Compiled(cb) => {
+                    cb.run(block, base, detail, &mut self.match_counts, &mut self.stats)?;
                     continue;
                 }
-                key.extend(detail_key_cols.iter().map(|&c| r[c].clone()));
-                for &bi in index.get(&key) {
-                    let bi = bi as usize;
-                    let b = &base.rows()[bi];
-                    if skip_residual || eval_predicate(&residual, b, &r)? {
-                        stats.matches += 1;
-                        match_counts[bi] += 1;
-                        accumulate_row(block, block_off, &mut states[bi], &arg_vals, i)?;
+                BlockFold::Hash {
+                    detail_key_cols,
+                    residual,
+                    index,
+                } => (Some(&*index), &detail_key_cols[..], residual.as_ref()),
+                BlockFold::Nested => (None, &[][..], None),
+            };
+
+            // Precompute per-detail-row argument values for each aggregate in
+            // the block (arguments are detail-only, so this is shared across all
+            // matching base tuples).
+            let mut arg_vals: Vec<Option<Vec<Value>>> = Vec::with_capacity(block.aggs.len());
+            for spec in &block.aggs {
+                match &spec.arg {
+                    None => arg_vals.push(None),
+                    Some(e) => {
+                        let mut vals = Vec::with_capacity(n_detail);
+                        for i in 0..n_detail {
+                            vals.push(eval_detail(e, &detail.row(i))?);
+                        }
+                        arg_vals.push(Some(vals));
                     }
                 }
             }
-        } else {
-            stats.blocks_nested += 1;
-            for i in 0..n_detail {
-                let r = detail_row(i);
-                for (bi, b) in base.rows().iter().enumerate() {
-                    if eval_predicate(&block.theta, b, &r)? {
-                        stats.matches += 1;
-                        match_counts[bi] += 1;
-                        accumulate_row(block, block_off, &mut states[bi], &arg_vals, i)?;
+
+            let mut hit = |bi: usize, i: usize| -> Result<()> {
+                self.stats.matches += 1;
+                self.match_counts[bi] += 1;
+                accumulate_row(block, *block_off, &mut self.states[bi], &arg_vals, i)
+            };
+            match index {
+                Some(index) => {
+                    let mut key: Row = Vec::with_capacity(detail_key_cols.len());
+                    for i in 0..n_detail {
+                        let r = detail.row(i);
+                        key.clear();
+                        // NULL keys never join (SQL equality semantics).
+                        if detail_key_cols.iter().any(|&c| r[c].is_null()) {
+                            continue;
+                        }
+                        key.extend(detail_key_cols.iter().map(|&c| r[c].clone()));
+                        for &bi in index.get(&key) {
+                            let bi = bi as usize;
+                            let b = &base.rows()[bi];
+                            if residual.map_or(Ok(true), |e| eval_predicate(e, b, &r))? {
+                                hit(bi, i)?;
+                            }
+                        }
+                    }
+                }
+                None => {
+                    for i in 0..n_detail {
+                        let r = detail.row(i);
+                        for (bi, b) in base.rows().iter().enumerate() {
+                            if eval_predicate(&block.theta, b, &r)? {
+                                hit(bi, i)?;
+                            }
+                        }
                     }
                 }
             }
         }
+        Ok(())
     }
 
-    Ok(())
+    /// The range's accumulation: compiled blocks' typed state converted
+    /// into `Value` cells, and each block counted once if rows were fed.
+    fn finish(mut self) -> Accumulated {
+        for (fold, _) in &self.blocks {
+            if self.fed {
+                match fold {
+                    BlockFold::Compiled(cb) => {
+                        if cb.is_hash() {
+                            self.stats.blocks_hashed += 1;
+                        } else {
+                            self.stats.blocks_nested += 1;
+                        }
+                        self.stats.blocks_compiled += 1;
+                    }
+                    BlockFold::Hash { .. } => self.stats.blocks_hashed += 1,
+                    BlockFold::Nested => self.stats.blocks_nested += 1,
+                }
+            }
+            if let BlockFold::Compiled(cb) = fold {
+                cb.write_states(&mut self.states);
+            }
+        }
+        (self.states, self.match_counts, self.stats)
+    }
 }
 
 /// `true` when the zone maps prove no row of the segment can satisfy the
@@ -976,9 +1037,9 @@ mod tests {
         assert_eq!(a.sorted(), b.sorted());
         assert_eq!(sa.matches, sb.matches);
         assert_eq!(sa.blocks_hashed, sb.blocks_hashed);
-        // Block 1 is a pure equi-join (compiles); block 2 carries a hash
-        // residual, which stays on the interpreter's index-probe path.
-        assert_eq!(sa.blocks_compiled, 1);
+        // Block 1 is a pure equi-join; block 2 carries a hash residual,
+        // which the compiled probe checks on its probed pairs. Both compile.
+        assert_eq!(sa.blocks_compiled, 2);
         assert_eq!(sb.blocks_compiled, 0);
     }
 

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use skalla::expr::{eval, CompiledPred, CompiledScalar, Expr, ScalarLanes};
-use skalla::gmdj::{eval_gmdj_full, EvalOptions};
+use skalla::gmdj::{eval_gmdj_full, eval_gmdj_sub, EvalOptions};
 use skalla::prelude::*;
 
 fn detail_schema() -> std::sync::Arc<Schema> {
@@ -165,7 +165,210 @@ fn assert_scalar_lanes_agree(expr: &Expr, base_row: &[Value], table: &Table, lan
     }
 }
 
+/// Residuals for the hash-path differential: one to three conjuncts,
+/// mostly well typed so the block compiles — numeric comparisons over
+/// arithmetic that can divide by zero, reading detail columns, the base's
+/// `k` and `w`, and literals (`-0.0` included); a string comparison
+/// against the base's `s`; a NULL test; a bare boolean column; a
+/// multiplication that overflows on some rows; a disjunction — plus an
+/// arbitrary [`arb_expr`] draw.
+fn arb_residual() -> impl Strategy<Value = Expr> {
+    let conjunct = prop_oneof![
+        arb_cmp(),
+        arb_cmp(),
+        arb_cmp(),
+        Just(Expr::detail(3).ge(Expr::base(2))),
+        Just(Expr::detail(1).is_null().not()),
+        Just(Expr::detail(4)),
+        // Overflows on the rows with |v| ≥ 93 only.
+        Just(
+            Expr::detail(1)
+                .mul(Expr::lit(100_000_000_000_000_000i64))
+                .gt(Expr::lit(0))
+        ),
+        (arb_cmp(), arb_cmp()).prop_map(|(a, b)| a.or(b)),
+        arb_expr(),
+    ];
+    prop::collection::vec(conjunct, 1..4).prop_map(Expr::conjunction)
+}
+
+/// A comparison of two [`arb_num`] operands.
+fn arb_cmp() -> impl Strategy<Value = Expr> {
+    (arb_num(), arb_num(), 0usize..6).prop_map(|(a, b, k)| match k {
+        0 => a.eq(b),
+        1 => a.ne(b),
+        2 => a.lt(b),
+        3 => a.le(b),
+        4 => a.gt(b),
+        _ => a.ge(b),
+    })
+}
+
+/// Numeric operands for [`arb_residual`]'s comparisons.
+fn arb_num() -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        (-20i64..20).prop_map(Expr::lit),
+        prop_oneof![-4.0f64..4.0, Just(-0.0f64)].prop_map(Expr::lit),
+        Just(Expr::detail(1)),
+        Just(Expr::detail(2)),
+        Just(Expr::base(0)),
+        Just(Expr::base(1)),
+    ];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        (inner.clone(), inner, 0usize..6).prop_map(|(a, b, k)| match k {
+            0 | 1 => a.add(b),
+            2 | 3 => a.sub(b),
+            4 => a.mul(b),
+            _ => a.div(b),
+        })
+    })
+}
+
+/// A detail-table-shaped base relation for the hash-path differential:
+/// the distinct values of the join key's detail columns, each group given
+/// a base float `w` (NULL and `-0.0` included) for the residual to read.
+///
+/// `key_pick` chooses the equi-join:
+/// 0. `b.k = r.g` — one integer key;
+/// 1. `b.k = r.v` — a nullable key, so NULL detail keys and a NULL base
+///    group both occur;
+/// 2. `b.k = r.g` with the base holding `k` as a float (`0` as `-0.0`), so
+///    integer detail keys must meet equal floats;
+/// 3. `b.k = r.g AND b.s = r.s` — two keys, one a string;
+/// 4. `b.k = r.g` over groups on `(g, v)`, so one key probes several
+///    groups;
+/// 5. `b.k = r.f` with `k` each float group truncated to an integer, so
+///    float detail keys (`0.0` and `-0.0` among them) must meet equal
+///    integers, and one key can name several groups.
+///
+/// Returns the base (schema `k, w, s`) and the key conjuncts.
+fn hash_base(table: &Table, key_pick: usize, ws: &[Option<f64>]) -> (Relation, Expr) {
+    let schema = |k: DataType| {
+        Schema::from_pairs([("k", k), ("w", DataType::Float64), ("s", DataType::Utf8)])
+            .unwrap()
+            .into_arc()
+    };
+    let (cols, key_type, theta) = match key_pick {
+        0 => (vec![0], DataType::Int64, Expr::base(0).eq(Expr::detail(0))),
+        1 => (vec![1], DataType::Int64, Expr::base(0).eq(Expr::detail(1))),
+        2 => (
+            vec![0],
+            DataType::Float64,
+            Expr::base(0).eq(Expr::detail(0)),
+        ),
+        3 => (
+            vec![0, 3],
+            DataType::Int64,
+            Expr::base(0)
+                .eq(Expr::detail(0))
+                .and(Expr::detail(3).eq(Expr::base(2))),
+        ),
+        4 => (
+            vec![0, 1],
+            DataType::Int64,
+            Expr::base(0).eq(Expr::detail(0)),
+        ),
+        _ => (vec![2], DataType::Int64, Expr::base(0).eq(Expr::detail(2))),
+    };
+    let groups = table.distinct_project(&cols).unwrap();
+    let rows = groups
+        .rows()
+        .iter()
+        .enumerate()
+        .map(|(j, g)| {
+            let k = match (&g[0], key_pick) {
+                (Value::Int(0), 2) => Value::Float(-0.0),
+                (Value::Int(x), 2) => Value::Float(*x as f64),
+                (Value::Float(f), 5) => Value::Int(f.trunc() as i64),
+                (k, _) => k.clone(),
+            };
+            let w = ws[j % ws.len()].map_or(Value::Null, Value::Float);
+            let s = match key_pick {
+                3 => g[1].clone(),
+                _ => Value::str("a"),
+            };
+            vec![k, w, s]
+        })
+        .collect();
+    (Relation::new(schema(key_type), rows).unwrap(), theta)
+}
+
+/// Bit-strict, order-strict relation equality: floats compared by bit
+/// pattern (`Value` equality would identify `-0.0` with `0.0`).
+fn assert_bits_eq(a: &Relation, b: &Relation) {
+    assert_eq!(a.schema(), b.schema());
+    assert_eq!(a.len(), b.len());
+    for (i, (ra, rb)) in a.rows().iter().zip(b.rows()).enumerate() {
+        for (va, vb) in ra.iter().zip(rb) {
+            match (va, vb) {
+                (Value::Float(x), Value::Float(y)) => {
+                    assert_eq!(x.to_bits(), y.to_bits(), "row {i}: {va:?} vs {vb:?}")
+                }
+                _ => assert_eq!(va, vb, "row {i}"),
+            }
+        }
+    }
+}
+
 proptest! {
+    /// Hash-strategy blocks with a residual: θ is equi-join keys plus an
+    /// arbitrary residual over base and detail columns, in either order.
+    /// The compiled probe — typed keys, hoisted detail-only filter, the
+    /// rest checked per probed pair — must return exactly the
+    /// interpreter's sub-aggregates and match counts, rows unsorted and
+    /// floats bit for bit, or both must fail.
+    #[test]
+    fn gmdj_hash_residual_agrees_with_interpreter(
+        rows in arb_rows(),
+        key_pick in 0usize..6,
+        ws in prop::collection::vec(
+            prop::option::of(prop_oneof![-10.0f64..10.0, Just(0.0f64), Just(-0.0f64)]),
+            1..5,
+        ),
+        residual in arb_residual(),
+        residual_first in any::<bool>(),
+        arg in arb_agg_arg(),
+        func_pick in 0usize..5,
+    ) {
+        let table = build_table(&rows);
+        let (base, keys) = hash_base(&table, key_pick, &ws);
+        let agg = match func_pick {
+            0 => AggSpec::sum(arg, "a").unwrap(),
+            1 => AggSpec::avg(arg, "a").unwrap(),
+            2 => AggSpec::min(arg, "a").unwrap(),
+            3 => AggSpec::max(arg, "a").unwrap(),
+            _ => AggSpec::count_star("a"),
+        };
+        let theta = if residual_first { residual.and(keys) } else { keys.and(residual) };
+        let op = GmdjOp::new(vec![GmdjBlock::new(
+            vec![AggSpec::count_star("c"), agg],
+            theta,
+        )]);
+        let schema = detail_schema();
+        let opts = EvalOptions { with_match_count: true, ..Default::default() };
+        let compiled = eval_gmdj_sub(&base, &table, &schema, &op, &opts);
+        let interpreted = eval_gmdj_sub(
+            &base,
+            &table,
+            &schema,
+            &op,
+            &EvalOptions { compiled: false, ..opts },
+        );
+        match (compiled, interpreted) {
+            (Ok((a, sa)), Ok((b, sb))) => {
+                assert_bits_eq(&a, &b);
+                prop_assert_eq!(sa.matches, sb.matches);
+                prop_assert_eq!(sa.blocks_hashed, 1);
+            }
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!(
+                "compiled and interpreted paths disagree on outcome: {:?} vs {:?}",
+                a.map(|(r, _)| r),
+                b.map(|(r, _)| r),
+            ),
+        }
+    }
+
     /// Compiled predicates agree with the interpreter on every non-error
     /// lane: same definite boolean, same NULLs (three-valued logic).
     #[test]
@@ -257,4 +460,139 @@ proptest! {
             ),
         }
     }
+}
+
+/// A detail-only conjunct runs ahead of the probe only where it passes
+/// conjuncts that cannot raise. Here the residual first divides by the
+/// join key, which is 0 for group 0, and then tests `r.v < 0`, FALSE on
+/// every row: the interpreter raises on the pair that probes group 0, so
+/// the compiled block must raise too; without such a row neither raises.
+#[test]
+fn hash_residual_hoists_only_past_infallible_conjuncts() {
+    let base = Relation::new(
+        base_schema(),
+        vec![
+            vec![Value::Int(0), Value::Float(0.0)],
+            vec![Value::Int(1), Value::Float(1.0)],
+        ],
+    )
+    .unwrap();
+    let theta = Expr::base(0)
+        .eq(Expr::detail(0))
+        .and(Expr::detail(1).div(Expr::base(0)).gt(Expr::lit(0)))
+        .and(Expr::detail(1).lt(Expr::lit(0)));
+    let op = GmdjOp::new(vec![GmdjBlock::new(vec![AggSpec::count_star("c")], theta)]);
+    let row = |g: i64| (g, Some(5), Some(1.0), "a".to_string(), None);
+    let interpreted = EvalOptions {
+        compiled: false,
+        ..Default::default()
+    };
+    for (rows, raises) in [(vec![row(1), row(0)], true), (vec![row(1), row(2)], false)] {
+        let table = build_table(&rows);
+        let schema = detail_schema();
+        let (compiled, stats) =
+            match eval_gmdj_sub(&base, &table, &schema, &op, &Default::default()) {
+                Ok((rel, stats)) => (Ok(rel), stats),
+                Err(e) => (Err(e), Default::default()),
+            };
+        let oracle = eval_gmdj_sub(&base, &table, &schema, &op, &interpreted).map(|(r, _)| r);
+        assert_eq!(compiled.is_err(), raises, "{compiled:?}");
+        assert_eq!(oracle.is_err(), raises, "{oracle:?}");
+        if !raises {
+            assert_eq!(compiled.unwrap(), oracle.unwrap());
+            assert_eq!(stats.blocks_compiled, 1);
+        }
+    }
+}
+
+/// The paper's §5 shapes whose later `MD`s carry a residual after the
+/// equi-join — fig2 (`r.extendedprice >= b.avg1` per customer), fig4 (the
+/// same per city), fig3 (`r.quantity > 30`) and the out-of-core
+/// recent window (an `orderdate` range per nation) — run every block of
+/// every round on compiled kernels, over in-memory and segment-backed
+/// sites, unoptimized and fully optimized, and answer exactly like the
+/// centralized interpreter. Nation partitioning keeps each group's rows
+/// at one site in generation order, so even float averages agree bit
+/// for bit.
+#[test]
+fn paper_shapes_run_compiled_end_to_end() {
+    use skalla::tpcr::{
+        generate, generate_to_dir, partition_by_nation, TpcrConfig, CITYNAME_COL, CUSTNAME_COL,
+        EXTENDEDPRICE_COL, ORDERDATE_COL, QUANTITY_COL, TIMELINE_DAYS,
+    };
+    use skalla_bench::queries::date_range_query;
+    use skalla_bench::{coalescible_query, correlated_query};
+    const SITES: usize = 4;
+    const NATIONNAME_COL: usize = 6;
+
+    let config = TpcrConfig {
+        time_ordered: true,
+        ..TpcrConfig::scale(0.05)
+    };
+    let table = generate(&config);
+    let parts = partition_by_nation(&table, SITES).unwrap();
+    let dir = std::env::temp_dir().join(format!("skalla-paper-shapes-{}", std::process::id()));
+    let paths: Vec<String> = generate_to_dir(&config, SITES, 256, &dir)
+        .unwrap()
+        .iter()
+        .map(|p| p.to_string_lossy().into_owned())
+        .collect();
+    let mut full = Catalog::new();
+    full.register("tpcr", table);
+    let catalogs: Vec<Catalog> = parts
+        .parts
+        .iter()
+        .map(|p| {
+            let mut c = Catalog::new();
+            c.register("tpcr", p.clone());
+            c
+        })
+        .collect();
+    let in_memory = DistributedWarehouse::launch(catalogs.clone(), CostModel::free()).unwrap();
+    let on_disk = DistributedWarehouse::launch(catalogs, CostModel::free()).unwrap();
+    on_disk.load_segments("tpcr", &paths).unwrap();
+    let dist = DistributionInfo::from_partitioning(&parts);
+
+    let hi = TIMELINE_DAYS - 45;
+    let shapes = [
+        (
+            "fig2",
+            correlated_query(CUSTNAME_COL, EXTENDEDPRICE_COL).unwrap(),
+        ),
+        (
+            "fig4",
+            correlated_query(CITYNAME_COL, EXTENDEDPRICE_COL).unwrap(),
+        ),
+        (
+            "fig3",
+            coalescible_query(CUSTNAME_COL, EXTENDEDPRICE_COL, QUANTITY_COL, 30.0).unwrap(),
+        ),
+        (
+            "recent-window",
+            date_range_query(NATIONNAME_COL, QUANTITY_COL, ORDERDATE_COL, hi - 90, hi).unwrap(),
+        ),
+    ];
+    for (name, expr) in &shapes {
+        let truth = eval_expr_centralized(expr, &full).unwrap().sorted();
+        let plans = [
+            ("unoptimized", DistPlan::unoptimized(expr.clone())),
+            (
+                "optimized",
+                plan_query(expr, &dist, OptFlags::all()).unwrap().0,
+            ),
+        ];
+        for (tag, wh) in [("in-memory", &in_memory), ("segments", &on_disk)] {
+            for (opt, plan) in &plans {
+                let ctx = format!("{name} {tag} {opt}");
+                let (result, m) = wh.execute(plan).unwrap();
+                assert_eq!(result.sorted(), truth, "{ctx}");
+                assert!(m.total_blocks_compiled() > 0, "{ctx}");
+                assert_eq!(m.total_blocks_interpreted(), 0, "{ctx}");
+                assert_eq!(m.total_segments_scanned() > 0, tag == "segments", "{ctx}");
+            }
+        }
+    }
+    in_memory.shutdown().unwrap();
+    on_disk.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -123,8 +123,10 @@ fn filtered_op(t: f64) -> GmdjOp {
 /// each with the base columns it groups by: [`filtered_op`], and ops
 /// reading no detail column (θ on the base alone), one, one away from index
 /// 0 (so the rewrite onto the projection is not the identity), several
-/// read by different blocks, and every column. `f ≤ t` bounds give the
-/// zone maps something to prune on.
+/// read by different blocks, and every column; and a correlated residual
+/// whose key matches several groups, checked per probed pair against a
+/// base column after a detail-only filter. `f ≤ t` bounds give the zone
+/// maps something to prune on.
 fn op_shapes(t: f64) -> Vec<(&'static str, Vec<usize>, GmdjOp)> {
     let by_k = || Expr::base(0).eq(Expr::detail(0));
     let by_s = || Expr::base(0).eq(Expr::detail(2));
@@ -183,6 +185,19 @@ fn op_shapes(t: f64) -> Vec<(&'static str, Vec<usize>, GmdjOp)> {
                 by_k()
                     .and(Expr::detail(3).eq(Expr::lit(false)))
                     .and(Expr::detail(1).le(Expr::lit(t))),
+            )]),
+        ),
+        (
+            "correlated",
+            vec![0, 2],
+            GmdjOp::new(vec![GmdjBlock::new(
+                vec![
+                    AggSpec::count_star("n"),
+                    AggSpec::avg(Expr::detail(1), "avg").unwrap(),
+                ],
+                by_k()
+                    .and(Expr::detail(1).le(Expr::lit(t)))
+                    .and(Expr::detail(2).ge(Expr::base(1))),
             )]),
         ),
     ]
@@ -339,7 +354,7 @@ fn parallel_segmented_scan_is_bit_exact() {
         for range in [None, Some((1234, 9876))] {
             let (lo, hi) = range.unwrap_or((0, table.len()));
             let window = table.row_range(lo, hi).unwrap();
-            for par in [1usize, 3, 8] {
+            for par in [1usize, 2, 3, 8] {
                 let opts = EvalOptions {
                     parallelism: par,
                     with_match_count: true,
