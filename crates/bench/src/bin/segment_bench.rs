@@ -41,8 +41,12 @@
 //!      visits — those of the `MD` rounds; the `BASE DISTINCT` round
 //!      reads every segment's key column and can prune none;
 //!   3. the pruned scan's round time is ≥ 1.3× faster than the unpruned
-//!      out-of-core scan (the committed BENCH_9.json reports a larger
-//!      ratio at the default shape; 1.3× leaves headroom for host noise).
+//!      out-of-core scan. The round time sums every round, the
+//!      unprunable `BASE DISTINCT` round included, so the margin is thin
+//!      now that the `MD` round runs on compiled kernels: BENCH_9.json
+//!      reads 1.57× at the default shape, and CI's `--scale 0.5 --iters 2`
+//!      reads 1.36–1.53× on a quiet 2-core host and can fall below 1.3×
+//!      when the host is busy.
 
 use std::sync::Arc;
 use std::time::Instant;
